@@ -1,10 +1,11 @@
 //! Telemetry timeline artifact: one annotated tatas-lock run per protocol.
 //!
-//! For each protocol this bench runs the tatas counter kernel twice — once
+//! For each protocol — M, DS0, DS and GCS — this bench runs the tatas counter kernel twice — once
 //! with telemetry off, once with a recorder sink — and asserts the two runs
 //! produce identical statistics (the zero-perturbation guarantee). The
 //! recorded event stream is exported as a Chrome trace-event / Perfetto
-//! timeline (`TRACE_telemetry_<label>.json`, loadable at ui.perfetto.dev),
+//! timeline (`TRACE_telemetry_<label>.json` at the repository root, a
+//! generated file git ignores; loadable at ui.perfetto.dev),
 //! structurally validated, and summarized — together with each run's
 //! hierarchical metrics tree — in `BENCH_telemetry.json`.
 
@@ -36,7 +37,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut metrics_tree = JsonObject::new();
 
-    for proto in Protocol::ALL {
+    for proto in Protocol::EXTENDED {
         let cfg = SystemConfig::small(THREADS, proto);
 
         // Baseline: telemetry fully off (the compile-time-erased no-op path).

@@ -32,10 +32,12 @@ pub mod grids;
 pub mod runner;
 pub mod spec;
 
+/// The workspace's one FNV-1a implementation, re-exported for the service
+/// and fuzz crates that key their records and digests on it.
+pub use dvs_stats::hash::{fnv1a, fnv1a_str, FNV_OFFSET};
 pub use grids::{figure_core_counts, kernel_grid, quick_mode, workers_from_env};
 pub use runner::{
-    fnv1a, fnv1a_str, parallel_indexed, run_recorded, Campaign, CampaignError, CampaignReport,
-    RunRecord, FNV_OFFSET,
+    parallel_indexed, run_recorded, Campaign, CampaignError, CampaignReport, RunRecord,
 };
 pub use spec::{
     mutation_token, parse_mutation_token, parse_protocol, ConfigOverrides, ExperimentSpec,

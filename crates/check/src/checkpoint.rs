@@ -48,6 +48,7 @@ use crate::explore::{
 };
 use dvs_core::msg::Endpoint;
 use dvs_core::oracle::{ChannelKey, StepOracle};
+use dvs_stats::hash::{fnv1a_bytes, FNV_OFFSET};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -58,12 +59,7 @@ const MAGIC: &[u8; 8] = b"DVSCKPT1";
 const PICK_SIZE: usize = 8;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, bytes)
 }
 
 /// Why a checkpoint could not be used. All variants are terminal: the

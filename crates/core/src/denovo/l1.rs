@@ -1,4 +1,5 @@
-//! The DeNovo private-cache (L1) controller.
+//! The DeNovo private-cache (L1) controller, shared by DeNovoSync0,
+//! DeNovoSync and GCS.
 //!
 //! Per-word states Invalid / Valid / Registered; no transient states in the
 //! array — in-flight work lives in word-granularity MSHRs. Key behaviours
@@ -18,9 +19,15 @@
 //!   `WbAck` / `WbNack`): the registry may have already re-pointed the word
 //!   at a new registrant, in which case the in-flight transfer must still be
 //!   served from the held value.
+//!
+//! Synchronization policy lives in the L1's `SyncTier`: DeNovoSync0 and
+//! DeNovoSync carry the hardware [`BackoffUnit`] (disabled on DS0); GCS
+//! carries its sync tier instead, entered from this data path at a few
+//! named hooks — see [`crate::gcs::l1`].
 
 use crate::config::BackoffConfig;
 use crate::denovo::backoff::BackoffUnit;
+use crate::gcs::l1::{GcsTier, SyncComplete};
 use crate::msg::{CoreId, DnvMsg, Endpoint, Msg, XferClass};
 use crate::proto::{Action, IssueResult};
 use dvs_mem::array::InsertOutcome;
@@ -31,6 +38,7 @@ use dvs_mem::{
 use dvs_stats::CacheStats;
 use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
 use dvs_vm::MemRequest;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Per-word coherence state.
@@ -89,7 +97,7 @@ impl DnvLine {
 
 /// What an MSHR entry is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PendKind {
+pub(crate) enum PendKind {
     /// Non-ownership data read.
     Read,
     /// Synchronization-read registration.
@@ -104,38 +112,63 @@ enum PendKind {
     /// means the registry refused (ownership moved) and we are waiting for
     /// the in-flight transfer.
     Wb { value: u64, nacked: bool },
+    /// GCS: a sync operation is executing at the home bank.
+    SyncWait { complete: SyncComplete },
 }
 
 /// One outstanding word-granularity transaction.
-#[derive(Debug, Clone, Hash)]
-struct Pend {
-    kind: PendKind,
+#[derive(Debug, Clone)]
+pub(crate) struct Pend {
+    pub(crate) kind: PendKind,
     /// Forwarded data reads that arrived while we were pending.
-    parked_reads: Vec<CoreId>,
+    pub(crate) parked_reads: Vec<CoreId>,
     /// A forwarded registration transfer that arrived while we were pending
     /// (at most one: the registry serializes, and each registrant has
     /// exactly one successor).
-    parked_xfer: Option<(CoreId, XferClass)>,
+    pub(crate) parked_xfer: Option<(CoreId, XferClass)>,
+    /// GCS: whether a bank `Recall` arrived while our own registration was
+    /// in flight (served right after the operation completes). `None` under
+    /// DeNovoSync0/DeNovoSync, which have no recalls.
+    pub(crate) parked_recall: Option<bool>,
 }
 
 impl Pend {
-    fn new(kind: PendKind) -> Self {
-        Pend {
-            kind,
-            parked_reads: Vec::new(),
-            parked_xfer: None,
+    /// Whether a GCS recall is parked on this entry.
+    pub(crate) fn recall_parked(&self) -> bool {
+        self.parked_recall == Some(true)
+    }
+}
+
+/// Canonical hash. `parked_recall` hashes only where it exists (GCS), so
+/// each protocol's fingerprint stream is that of its own entry layout.
+impl Hash for Pend {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kind.hash(state);
+        self.parked_reads.hash(state);
+        self.parked_xfer.hash(state);
+        if let Some(parked) = self.parked_recall {
+            parked.hash(state);
         }
     }
+}
+
+/// The synchronization policy the shared data path defers to.
+#[derive(Debug, Clone)]
+pub(crate) enum SyncTier {
+    /// DeNovoSync0 / DeNovoSync: the hardware backoff unit (disabled on DS0).
+    Backoff(BackoffUnit),
+    /// GCS: sync-word prediction, the remote watch and the notify buffer.
+    Gcs(GcsTier),
 }
 
 /// The DeNovo L1 controller for one core.
 #[derive(Debug, Clone)]
 pub struct DnvL1 {
-    id: CoreId,
+    pub(crate) id: CoreId,
     banks: usize,
     cache: CacheArray<DnvLine>,
-    mshr: Mshr<WordAddr, Pend>,
-    backoff: BackoffUnit,
+    pub(crate) mshr: Mshr<WordAddr, Pend>,
+    pub(crate) tier: SyncTier,
     watch: Option<WordAddr>,
     layout: Arc<MemoryLayout>,
     stats: CacheStats,
@@ -158,12 +191,23 @@ impl DnvL1 {
         backoff_enabled: bool,
         layout: Arc<MemoryLayout>,
     ) -> Self {
+        let tier = SyncTier::Backoff(BackoffUnit::new(backoff_cfg, backoff_enabled));
+        Self::with_tier(id, geometry, banks, tier, layout)
+    }
+
+    pub(crate) fn with_tier(
+        id: CoreId,
+        geometry: CacheGeometry,
+        banks: usize,
+        tier: SyncTier,
+        layout: Arc<MemoryLayout>,
+    ) -> Self {
         DnvL1 {
             id,
             banks,
             cache: CacheArray::new(geometry),
             mshr: Mshr::unbounded(),
-            backoff: BackoffUnit::new(backoff_cfg, backoff_enabled),
+            tier,
             watch: None,
             layout,
             stats: CacheStats::new(),
@@ -183,7 +227,7 @@ impl DnvL1 {
         self.mshr.high_water()
     }
 
-    fn emit_transition(
+    pub(crate) fn emit_transition(
         &self,
         word: WordAddr,
         from: &'static str,
@@ -205,8 +249,32 @@ impl DnvL1 {
     }
 
     /// The backoff unit (diagnostics / ablation reporting).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a GCS L1, which has no hardware backoff.
     pub fn backoff(&self) -> &BackoffUnit {
-        &self.backoff
+        match &self.tier {
+            SyncTier::Backoff(b) => b,
+            SyncTier::Gcs(_) => panic!("GCS L1s have no backoff unit"),
+        }
+    }
+
+    fn backoff_mut(&mut self) -> Option<&mut BackoffUnit> {
+        match &mut self.tier {
+            SyncTier::Backoff(b) => Some(b),
+            SyncTier::Gcs(_) => None,
+        }
+    }
+
+    /// A fresh MSHR entry for this L1's protocol.
+    pub(crate) fn pend(&self, kind: PendKind) -> Pend {
+        Pend {
+            kind,
+            parked_reads: Vec::new(),
+            parked_xfer: None,
+            parked_recall: matches!(self.tier, SyncTier::Gcs(_)).then_some(false),
+        }
     }
 
     /// Sets the spin-watched word.
@@ -292,6 +360,9 @@ impl DnvL1 {
                 if let Some((c, class)) = p.parked_xfer {
                     desc.push_str(&format!(", parked xfer to core {c} ({class:?})"));
                 }
+                if p.recall_parked() {
+                    desc.push_str(", parked recall");
+                }
                 (*w, desc)
             })
             .collect()
@@ -326,11 +397,11 @@ impl DnvL1 {
         }
     }
 
-    fn home(&self, word: WordAddr) -> Endpoint {
+    pub(crate) fn home(&self, word: WordAddr) -> Endpoint {
         Endpoint::Bank(bank_for(word, self.banks))
     }
 
-    fn word_mut(&mut self, word: WordAddr) -> Option<&mut DnvWord> {
+    pub(crate) fn word_mut(&mut self, word: WordAddr) -> Option<&mut DnvWord> {
         self.cache
             .get_mut(word.line())
             .map(|l| &mut l.words[word.index_in_line()])
@@ -350,7 +421,9 @@ impl DnvL1 {
             AccessKind::DataLoad => {
                 if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
                     match kind {
-                        PendKind::Wb { .. } => return IssueResult::Blocked,
+                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
+                            return IssueResult::Blocked
+                        }
                         PendKind::Write => { /* word is Registered locally: falls through to hit */
                         }
                         other => unreachable!("data load with own {other:?} pending"),
@@ -365,7 +438,7 @@ impl DnvL1 {
                     WState::Invalid => {
                         self.note_miss(req.kind);
                         self.mshr
-                            .try_insert(word, Pend::new(PendKind::Read))
+                            .try_insert(word, self.pend(PendKind::Read))
                             .expect("fresh mshr");
                         actions.push(Action::Send {
                             to: self.home(word),
@@ -378,7 +451,9 @@ impl DnvL1 {
             AccessKind::DataStore { value } => {
                 if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
                     match kind {
-                        PendKind::Wb { .. } => return IssueResult::Blocked,
+                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
+                            return IssueResult::Blocked
+                        }
                         PendKind::Write => {
                             // Previous store's registration still in flight;
                             // the word is Registered locally — just update.
@@ -394,6 +469,13 @@ impl DnvL1 {
                     self.note_hit(req.kind);
                     return IssueResult::StoreAccepted { completed: true };
                 }
+                if self.predicts_sync(word) {
+                    // GCS: a classified word cannot be registered here; the
+                    // store executes at its home bank.
+                    self.note_miss(req.kind);
+                    self.start_sync_op(word, req.kind, actions);
+                    return IssueResult::StoreAccepted { completed: false };
+                }
                 // Immediate transition to Registered + registration request
                 // (no transient state — the paper's write path).
                 if !self.ensure_line(word.line(), actions) {
@@ -405,50 +487,41 @@ impl DnvL1 {
                 w.state = WState::Registered;
                 w.value = value;
                 self.emit_transition(word, from, "R", "store");
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::Write))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::Write,
-                    }),
-                });
+                self.register(word, PendKind::Write, XferClass::Write, actions);
                 IssueResult::StoreAccepted { completed: false }
             }
             AccessKind::SyncLoad => {
+                if let Some(value) = self.take_notified(word) {
+                    // GCS: the targeted notification answers the re-issued
+                    // spin load without touching the network.
+                    self.note_hit(req.kind);
+                    return IssueResult::Hit { value: Some(value) };
+                }
                 if self.mshr.contains(&word) {
                     return IssueResult::Blocked; // writeback handshake in flight
                 }
                 match self.word_state(word) {
                     WState::Registered => {
                         let value = self.word_mut(word).expect("resident").value;
-                        self.backoff.on_sync_hit();
+                        if let Some(b) = self.backoff_mut() {
+                            b.on_sync_hit();
+                        }
                         self.note_hit(req.kind);
                         IssueResult::Hit { value: Some(value) }
                     }
                     state => {
                         // DeNovoSync: a read to Valid state triggers backoff.
                         if state == WState::Valid && !after_backoff {
-                            let delay = self.backoff.current();
+                            let delay = match &self.tier {
+                                SyncTier::Backoff(b) => b.current(),
+                                SyncTier::Gcs(_) => 0,
+                            };
                             if delay > 0 {
                                 return IssueResult::Backoff { cycles: delay };
                             }
                         }
                         self.note_miss(req.kind);
-                        self.mshr
-                            .try_insert(word, Pend::new(PendKind::SyncRead))
-                            .expect("fresh mshr");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::RegReq {
-                                word,
-                                req: self.id,
-                                class: XferClass::SyncRead,
-                            }),
-                        });
+                        self.sync_miss(req, PendKind::SyncRead, XferClass::SyncRead, actions);
                         IssueResult::Miss
                     }
                 }
@@ -459,22 +532,15 @@ impl DnvL1 {
                 }
                 if self.word_state(word) == WState::Registered {
                     self.word_mut(word).expect("resident").value = value;
-                    self.backoff.on_release();
+                    if let Some(b) = self.backoff_mut() {
+                        b.on_release();
+                    }
                     self.note_hit(req.kind);
                     return IssueResult::Hit { value: None };
                 }
                 self.note_miss(req.kind);
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::SyncWrite { value }))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::SyncWrite,
-                    }),
-                });
+                let kind = PendKind::SyncWrite { value };
+                self.sync_miss(req, kind, XferClass::SyncWrite, actions);
                 IssueResult::Miss
             }
             AccessKind::SyncRmw(op) => {
@@ -485,25 +551,56 @@ impl DnvL1 {
                     let w = self.word_mut(word).expect("resident");
                     let old = w.value;
                     w.value = op.apply(old);
-                    self.backoff.on_sync_hit();
+                    if let Some(b) = self.backoff_mut() {
+                        b.on_sync_hit();
+                    }
                     self.note_hit(req.kind);
                     return IssueResult::Hit { value: Some(old) };
                 }
                 self.note_miss(req.kind);
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::Rmw { op }))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::SyncWrite,
-                    }),
-                });
+                self.sync_miss(req, PendKind::Rmw { op }, XferClass::SyncWrite, actions);
                 IssueResult::Miss
             }
         }
+    }
+
+    /// Sends a synchronization miss to the home bank: the dedicated sync
+    /// operation for a word GCS predicts is classified, a registration
+    /// otherwise.
+    fn sync_miss(
+        &mut self,
+        req: &MemRequest,
+        kind: PendKind,
+        class: XferClass,
+        actions: &mut Vec<Action>,
+    ) {
+        let word = req.addr.word();
+        if self.predicts_sync(word) {
+            self.start_sync_op(word, req.kind, actions);
+        } else {
+            self.register(word, kind, class, actions);
+        }
+    }
+
+    /// Opens an MSHR entry and sends the registration request.
+    fn register(
+        &mut self,
+        word: WordAddr,
+        kind: PendKind,
+        class: XferClass,
+        actions: &mut Vec<Action>,
+    ) {
+        self.mshr
+            .try_insert(word, self.pend(kind))
+            .expect("fresh mshr");
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Dnv(DnvMsg::RegReq {
+                word,
+                req: self.id,
+                class,
+            }),
+        });
     }
 
     /// Handles an incoming protocol message.
@@ -555,6 +652,14 @@ impl DnvL1 {
                 class,
             } => {
                 if let Some(pend) = self.mshr.get_mut(&word) {
+                    if matches!(pend.kind, PendKind::SyncWait { .. }) {
+                        // GCS: the bank never re-points a classified word.
+                        actions.push(Action::violation(format!(
+                            "L1 {}: transfer for classified word {word}",
+                            self.id
+                        )));
+                        return;
+                    }
                     if let PendKind::Wb {
                         value,
                         nacked: true,
@@ -571,7 +676,7 @@ impl DnvL1 {
                         });
                         return;
                     }
-                    if pend.parked_xfer.is_some() {
+                    if pend.parked_xfer.is_some() || pend.recall_parked() {
                         actions.push(Action::violation(format!(
                             "L1: second transfer parked on one registration for {word}"
                         )));
@@ -580,7 +685,7 @@ impl DnvL1 {
                     pend.parked_xfer = Some((new_owner, class));
                     return;
                 }
-                let Some(value) = self.downgrade(word, class, actions) else {
+                let Some(value) = self.downgrade(word, Some(class), actions) else {
                     actions.push(Action::violation(format!(
                         "L1 {}: transfer for unregistered word {word}",
                         self.id
@@ -732,7 +837,9 @@ impl DnvL1 {
                     self.emit_transition(word, from, "R", "RegAck");
                 }
                 owned_value = value;
-                self.backoff.on_release();
+                if let Some(b) = self.backoff_mut() {
+                    b.on_release();
+                }
                 actions.push(Action::CoreDone { value: None });
             }
             PendKind::Rmw { op } => {
@@ -749,7 +856,7 @@ impl DnvL1 {
                     value: Some(ack_value),
                 });
             }
-            PendKind::Read | PendKind::Wb { .. } => {
+            PendKind::Read | PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
                 actions.push(Action::violation(format!(
                     "L1 {}: RegAck for {word} with {:?} pending",
                     self.id, pend.kind
@@ -760,12 +867,18 @@ impl DnvL1 {
         // Serve parked forwarded reads with the post-operation value (they
         // were serialized after our registration).
         self.serve_reads(word, owned_value, &pend.parked_reads, actions);
+        if pend.recall_parked() {
+            // GCS: the word was classified while our registration was in
+            // flight; the operation completed above, now surrender it.
+            self.surrender_recalled(word, cached, owned_value, actions);
+            return;
+        }
         // Then the parked transfer, if any: ownership moves on.
         if let Some((new_owner, class)) = pend.parked_xfer {
             let value = if cached {
                 // The ack just (re-)registered the word here, so the
                 // downgrade cannot miss.
-                self.downgrade(word, class, actions)
+                self.downgrade(word, Some(class), actions)
                     .expect("word registered by this ack")
             } else {
                 owned_value
@@ -780,7 +893,7 @@ impl DnvL1 {
             self.mshr
                 .try_insert(
                     word,
-                    Pend::new(PendKind::Wb {
+                    self.pend(PendKind::Wb {
                         value: owned_value,
                         nacked: false,
                     }),
@@ -797,20 +910,24 @@ impl DnvL1 {
         }
     }
 
-    /// Downgrades a Registered word for an outgoing transfer, returning its
-    /// value (`None` if the word is not actually Registered here — a
-    /// protocol violation the caller reports). Synchronization reads under
-    /// DeNovoSync leave a Valid copy (the backoff trigger) and bump the
-    /// counter; everything else invalidates.
-    fn downgrade(
+    /// Downgrades a Registered word for an outgoing transfer of `class` (or,
+    /// with `None`, a GCS recall), returning its value (`None` if the word
+    /// is not actually Registered here — a protocol violation the caller
+    /// reports). Synchronization reads under DeNovoSync leave a Valid copy
+    /// (the backoff trigger) and bump the counter; everything else
+    /// invalidates.
+    pub(crate) fn downgrade(
         &mut self,
         word: WordAddr,
-        class: XferClass,
+        class: Option<XferClass>,
         actions: &mut Vec<Action>,
     ) -> Option<u64> {
-        let keep_valid = class == XferClass::SyncRead && self.backoff.is_enabled();
-        if class == XferClass::SyncRead {
-            self.backoff.on_remote_sync_read();
+        let mut keep_valid = false;
+        if class == Some(XferClass::SyncRead) {
+            if let Some(b) = self.backoff_mut() {
+                keep_valid = b.is_enabled();
+                b.on_remote_sync_read();
+            }
         }
         let w = self
             .word_mut(word)
@@ -821,14 +938,15 @@ impl DnvL1 {
         } else {
             WState::Invalid
         };
-        self.emit_transition(word, "R", if keep_valid { "V" } else { "I" }, "Xfer");
+        let cause = if class.is_some() { "Xfer" } else { "Recall" };
+        self.emit_transition(word, "R", if keep_valid { "V" } else { "I" }, cause);
         if self.watch == Some(word) {
             actions.push(Action::SpinWake);
         }
         Some(value)
     }
 
-    fn serve_reads(
+    pub(crate) fn serve_reads(
         &self,
         word: WordAddr,
         value: u64,
@@ -904,7 +1022,7 @@ impl DnvL1 {
                         self.mshr
                             .try_insert(
                                 word,
-                                Pend::new(PendKind::Wb {
+                                self.pend(PendKind::Wb {
                                     value,
                                     nacked: false,
                                 }),
@@ -950,16 +1068,25 @@ impl DnvL1 {
 }
 
 /// Canonical hash for model checking: every field that influences future
-/// protocol behaviour. `stats` (counters) and `layout` (immutable, shared)
-/// are excluded.
-impl std::hash::Hash for DnvL1 {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+/// protocol behaviour, in a fixed order — the sync tier's backoff unit
+/// (DS0/DS) or predictor (GCS) where the backoff unit always sat, then the
+/// spin watch, then GCS's remote watch and notify buffer. `stats` (counters)
+/// and `layout` (immutable, shared) are excluded.
+impl Hash for DnvL1 {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         self.id.hash(state);
         self.banks.hash(state);
         self.cache.hash(state);
         self.mshr.hash(state);
-        self.backoff.hash(state);
+        match &self.tier {
+            SyncTier::Backoff(b) => b.hash(state),
+            SyncTier::Gcs(g) => g.predictor.hash(state),
+        }
         self.watch.hash(state);
+        if let SyncTier::Gcs(g) = &self.tier {
+            g.remote_watch.hash(state);
+            g.notify_buf.hash(state);
+        }
     }
 }
 

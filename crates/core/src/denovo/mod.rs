@@ -20,7 +20,9 @@
 //!   off under contention. The Valid state doubles as the "recently lost my
 //!   registration to a remote sync reader" marker.
 //!
-//! [`registry`] implements the L2-side word registry.
+//! [`registry`] implements the L2-side word registry. The same L1 and
+//! registry also run GCS, with its sync tier ([`crate::gcs`]) in place of
+//! the backoff unit.
 
 pub mod backoff;
 pub mod l1;

@@ -1,4 +1,5 @@
-//! The DeNovo registry: the L2 bank's word-granularity ownership tracker.
+//! The DeNovo registry: the L2 bank's word-granularity ownership tracker,
+//! shared by DeNovoSync0, DeNovoSync and GCS.
 //!
 //! Each word is either `Valid(data)` — the L2 holds the up-to-date value —
 //! or `Registered(core)` — a pointer to the L1 holding it. There are no
@@ -8,13 +9,19 @@
 //! the previous registrant; it never buffers waiting for the transfer to
 //! finish. Racing registrations therefore serialize through the L1s' MSHRs
 //! (the paper's distributed queue, §4.1 "Handling races").
+//!
+//! A GCS bank is this registry plus a sync tier ([`crate::gcs::bank`]),
+//! which owns the words it has classified and is entered from the data path
+//! when a synchronization registration contends for a registered word.
 
 use crate::config::ProtocolMutation;
+use crate::gcs::bank::SyncDirectory;
 use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, LineData, Msg};
 use crate::proto::Action;
 use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
 use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 /// One word's registry state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,21 +32,71 @@ pub enum RegWord {
     Registered(CoreId),
 }
 
+/// Requests parked while a line's data is fetched from memory. A DS0/DS
+/// bank only ever parks data-path requests; a GCS bank parks any message it
+/// accepts. Each hashes as exactly its own queue.
+#[derive(Debug, Clone)]
+enum Parked {
+    Data(VecDeque<DnvMsg>),
+    Any(VecDeque<Msg>),
+}
+
+impl Parked {
+    fn push(&mut self, msg: Msg) {
+        match (self, msg) {
+            (Parked::Data(q), Msg::Dnv(m)) => q.push_back(m),
+            (Parked::Any(q), m) => q.push_back(m),
+            (Parked::Data(_), other) => unreachable!("data-only bank accepted {other:?}"),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Parked::Data(q) => q.len(),
+            Parked::Any(q) => q.len(),
+        }
+    }
+
+    fn drain(&mut self) -> Vec<Msg> {
+        match self {
+            Parked::Data(q) => q.drain(..).map(Msg::Dnv).collect(),
+            Parked::Any(q) => q.drain(..).collect(),
+        }
+    }
+}
+
+impl Hash for Parked {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Parked::Data(q) => q.hash(state),
+            Parked::Any(q) => q.hash(state),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Hash)]
 struct RegLine {
     words: [RegWord; WORDS_PER_LINE],
     has_data: bool,
     fetching: bool,
-    queue: VecDeque<DnvMsg>,
+    queue: Parked,
 }
 
 impl RegLine {
-    fn new() -> Self {
+    fn new(any: bool) -> Self {
         RegLine {
             words: [RegWord::Valid(0); WORDS_PER_LINE],
             has_data: false,
             fetching: false,
-            queue: VecDeque::new(),
+            queue: if any {
+                Parked::Any(VecDeque::new())
+            } else {
+                Parked::Data(VecDeque::new())
+            },
         }
     }
 }
@@ -47,12 +104,14 @@ impl RegLine {
 /// One L2 bank's slice of the registry.
 #[derive(Debug, Clone)]
 pub struct DnvRegistry {
-    bank: BankId,
+    pub(crate) bank: BankId,
     mem: Endpoint,
     lines: SpanMap<RegLine>,
-    mutation: Option<ProtocolMutation>,
+    /// GCS's sync tier; `None` on DeNovoSync0/DeNovoSync.
+    pub(crate) sync: Option<SyncDirectory>,
+    pub(crate) mutation: Option<ProtocolMutation>,
     /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
+    pub(crate) tel: Telemetry,
 }
 
 impl DnvRegistry {
@@ -63,6 +122,7 @@ impl DnvRegistry {
             bank,
             mem,
             lines: SpanMap::sparse_only(),
+            sync: None,
             mutation: None,
             tel: Telemetry::off(),
         }
@@ -147,35 +207,52 @@ impl DnvRegistry {
     }
 
     /// Whether the line is still being resolved — fetching from memory,
-    /// holding queued requests, or not yet filled. The transient exemption
-    /// for the runtime conservation checker.
+    /// holding queued requests, not yet filled, or (GCS) mid-recall on one
+    /// of its words. The transient exemption for the runtime conservation
+    /// checker.
     pub fn line_busy(&self, line: LineAddr) -> bool {
         self.lines
             .get(line.raw())
             .is_some_and(|l| l.fetching || !l.queue.is_empty() || !l.has_data)
+            || line.words().any(|w| self.sync_word_busy(w))
     }
 
     /// A one-line human-readable description of a word's registry state, if
     /// its line has been touched (stall diagnostics).
     pub fn describe_word(&self, word: WordAddr) -> Option<String> {
         let e = self.lines.get(word.line().raw())?;
-        Some(format!(
+        let mut s = format!(
             "bank {}: {word} {:?} has_data={} fetching={} queued={}",
             self.bank,
             e.words[word.index_in_line()],
             e.has_data,
             e.fetching,
             e.queue.len()
-        ))
+        );
+        self.describe_sync(word, &mut s);
+        Some(s)
     }
 
-    /// Handles one incoming message.
-    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        let word = msg.word();
+    /// Handles one incoming message: a data-path [`DnvMsg`], or under GCS
+    /// also a sync-path [`Msg::Gcs`].
+    pub fn on_msg(&mut self, msg: impl Into<Msg>, actions: &mut Vec<Action>) {
+        let msg = msg.into();
+        let (word, class) = match &msg {
+            Msg::Dnv(m) => (m.word(), m.class()),
+            Msg::Gcs(m) if self.sync.is_some() => (m.word(), m.class()),
+            other => {
+                actions.push(Action::violation(format!(
+                    "registry bank {} cannot handle {other:?}",
+                    self.bank
+                )));
+                return;
+            }
+        };
         let line = word.line();
-        let entry = self.lines.or_insert_with(line.raw(), RegLine::new);
+        let any = self.sync.is_some();
+        let entry = self.lines.or_insert_with(line.raw(), || RegLine::new(any));
         if !entry.has_data {
-            entry.queue.push_back(msg);
+            entry.queue.push(msg);
             if !entry.fetching {
                 entry.fetching = true;
                 actions.push(Action::Send {
@@ -183,13 +260,13 @@ impl DnvRegistry {
                     msg: Msg::MemRead {
                         line,
                         bank: self.bank,
-                        class: msg.class(),
+                        class,
                     },
                 });
             }
             return;
         }
-        self.handle(msg, actions);
+        self.dispatch(msg, actions);
     }
 
     /// Memory returned a line this bank was fetching.
@@ -214,41 +291,40 @@ impl DnvRegistry {
         entry.has_data = true;
         entry.fetching = false;
         // The registry is non-blocking: drain everything that queued.
-        let queued: Vec<DnvMsg> = entry.queue.drain(..).collect();
-        for m in queued {
-            self.handle(m, actions);
+        for m in entry.queue.drain() {
+            self.dispatch(m, actions);
         }
+    }
+
+    /// Routes a message for a fetched line: GCS's sync tier takes its own
+    /// messages and every message for a word it has classified; the rest
+    /// takes the data path.
+    pub(crate) fn dispatch(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+        match msg {
+            Msg::Dnv(m) if !self.classified(m.word()) => self.handle(m, actions),
+            other => self.on_sync_tier(other, actions),
+        }
+    }
+
+    /// The registry slot of a word whose line has been fetched.
+    pub(crate) fn word_slot(&mut self, word: WordAddr) -> &mut RegWord {
+        let entry = self
+            .lines
+            .get_mut(word.line().raw())
+            .expect("line fetched before dispatch");
+        &mut entry.words[word.index_in_line()]
     }
 
     fn handle(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
         let word = msg.word();
-        let line = word.line();
         let idx = word.index_in_line();
-        let entry = self.lines.get_mut(line.raw()).expect("line fetched");
+        let entry = self
+            .lines
+            .get_mut(word.line().raw())
+            .expect("line fetched before dispatch");
         match msg {
             DnvMsg::ReadReq { req, .. } => match entry.words[idx] {
-                RegWord::Valid(value) => {
-                    // Piggy-back the line's other valid words (only valid
-                    // parts travel — DeNovo's traffic advantage).
-                    let mut mask = 0u8;
-                    let mut data = [0u64; WORDS_PER_LINE];
-                    for (i, w) in entry.words.iter().enumerate() {
-                        if i != idx {
-                            if let RegWord::Valid(v) = *w {
-                                mask |= 1 << i;
-                                data[i] = v;
-                            }
-                        }
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(req),
-                        msg: Msg::Dnv(DnvMsg::ReadResp {
-                            word,
-                            value,
-                            fill: Some((mask, data)),
-                        }),
-                    });
-                }
+                RegWord::Valid(value) => actions.push(read_resp(&entry.words, word, req, value)),
                 RegWord::Registered(owner) => {
                     if owner == req {
                         actions.push(Action::violation(format!(
@@ -282,10 +358,15 @@ impl DnvRegistry {
                         )));
                         return;
                     }
-                    if self.mutation != Some(ProtocolMutation::DnvSkipRepoint) {
-                        entry.words[idx] = RegWord::Registered(req);
+                    if self.sync_contended(word, prev, req, class, actions) {
+                        return;
                     }
-                    if self.mutation != Some(ProtocolMutation::DnvDropXfer) {
+                    // A GCS bank arms only its sync-tier mutations.
+                    let mutation = self.mutation.filter(|_| self.sync.is_none());
+                    if mutation != Some(ProtocolMutation::DnvSkipRepoint) {
+                        *self.word_slot(word) = RegWord::Registered(req);
+                    }
+                    if mutation != Some(ProtocolMutation::DnvDropXfer) {
                         actions.push(Action::Send {
                             to: Endpoint::L1(prev),
                             msg: Msg::Dnv(DnvMsg::Xfer {
@@ -298,43 +379,102 @@ impl DnvRegistry {
                     self.emit_registration(word, req, Some(prev));
                 }
             },
-            DnvMsg::WbReq { value, from, .. } => match entry.words[idx] {
-                RegWord::Registered(owner) if owner == from => {
-                    entry.words[idx] = RegWord::Valid(value);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(from),
-                        msg: Msg::Dnv(DnvMsg::WbAck { word }),
-                    });
-                }
-                RegWord::Registered(_) => {
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(from),
-                        msg: Msg::Dnv(DnvMsg::WbNack { word }),
-                    });
-                }
-                RegWord::Valid(_) => actions.push(Action::violation(format!(
-                    "registry bank {}: writeback for {word}, which the registry already holds",
-                    self.bank
-                ))),
-            },
+            DnvMsg::WbReq { value, from, .. } => {
+                self.on_writeback(word, value, from, actions);
+            }
             other => actions.push(Action::violation(format!(
                 "registry bank {} cannot handle {other:?}",
                 self.bank
             ))),
         }
     }
+
+    /// A registrant's eviction writeback: accepted from the current
+    /// registrant, refused (the word was re-pointed) from anyone else.
+    /// Returns whether it was accepted.
+    pub(crate) fn on_writeback(
+        &mut self,
+        word: WordAddr,
+        value: u64,
+        from: CoreId,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        match *self.word_slot(word) {
+            RegWord::Registered(owner) if owner == from => {
+                *self.word_slot(word) = RegWord::Valid(value);
+                actions.push(Action::Send {
+                    to: Endpoint::L1(from),
+                    msg: Msg::Dnv(DnvMsg::WbAck { word }),
+                });
+                return true;
+            }
+            RegWord::Registered(_) => actions.push(Action::Send {
+                to: Endpoint::L1(from),
+                msg: Msg::Dnv(DnvMsg::WbNack { word }),
+            }),
+            RegWord::Valid(_) => actions.push(Action::violation(format!(
+                "registry bank {}: writeback for {word}, which the registry already holds",
+                self.bank
+            ))),
+        }
+        false
+    }
+
+    /// Serves a data read of a bank-held word.
+    pub(crate) fn serve_read(
+        &self,
+        word: WordAddr,
+        req: CoreId,
+        value: u64,
+        actions: &mut Vec<Action>,
+    ) {
+        let entry = self
+            .lines
+            .get(word.line().raw())
+            .expect("line fetched before dispatch");
+        actions.push(read_resp(&entry.words, word, req, value));
+    }
 }
 
-/// Canonical hash for model checking: lines sorted by address. Queued
-/// messages hash in FIFO order — their order is architecturally visible.
-impl std::hash::Hash for DnvRegistry {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+/// The response to a data read served from the bank, piggy-backing the
+/// line's other valid words (only valid parts travel — DeNovo's traffic
+/// advantage).
+fn read_resp(words: &[RegWord; WORDS_PER_LINE], word: WordAddr, req: CoreId, value: u64) -> Action {
+    let idx = word.index_in_line();
+    let mut mask = 0u8;
+    let mut data = [0u64; WORDS_PER_LINE];
+    for (i, w) in words.iter().enumerate() {
+        if i != idx {
+            if let RegWord::Valid(v) = *w {
+                mask |= 1 << i;
+                data[i] = v;
+            }
+        }
+    }
+    Action::Send {
+        to: Endpoint::L1(req),
+        msg: Msg::Dnv(DnvMsg::ReadResp {
+            word,
+            value,
+            fill: Some((mask, data)),
+        }),
+    }
+}
+
+/// Canonical hash for model checking: lines sorted by address, then (GCS)
+/// the sync tier's classified words. Queued messages hash in FIFO order —
+/// their order is architecturally visible.
+impl Hash for DnvRegistry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         self.bank.hash(state);
         self.mem.hash(state);
         // SpanMap hashes entries sorted by key, length-prefixed; `LineAddr`
         // hashes as its raw `u64`, so the stream is unchanged from the
         // HashMap-backed version of this bank.
         self.lines.hash(state);
+        if let Some(dir) = &self.sync {
+            dir.hash(state);
+        }
     }
 }
 

@@ -1,30 +1,38 @@
-//! The GCS home bank: a DeNovo registry with a sync-variable directory.
+//! GCS's bank sync tier.
 //!
-//! Ordinary words behave exactly like [`crate::denovo::registry`]: `Valid`
-//! at the bank or `Registered` to one L1, non-blocking re-points on racing
-//! registrations. The generalized-coherence twist is **dynamic
-//! classification**: when two cores contend for a word with synchronization
-//! accesses (a sync-class registration hits a word registered elsewhere, or
-//! a `SyncOp`/`SyncWatch` arrives), the bank promotes the word to a
-//! *sync-classified* entry — permanently. Classified words always live at
-//! the bank (`Valid`); sync operations execute here atomically
-//! ([`GcsMsg::SyncOp`]), spinners park in a per-word waiter set
-//! ([`GcsMsg::SyncWatch`]), and every value change pushes targeted
-//! [`GcsMsg::SyncNotify`] wakeups — no writer-initiated invalidations, no
-//! broadcast.
+//! A GCS home bank *is* the DeNovo registry ([`crate::denovo::registry`]):
+//! ordinary words are `Valid` at the bank or `Registered` to one L1, with
+//! non-blocking re-points on racing registrations. The registry carries a
+//! `SyncDirectory`, and this module holds everything it adds — **dynamic
+//! classification**. When two cores contend for a word with
+//! synchronization accesses (a sync-class registration hits a word
+//! registered elsewhere, or a `SyncOp`/`SyncWatch` arrives), the bank
+//! promotes the word to a *sync-classified* entry — permanently.
+//! Classified words always live at the bank (`Valid`); sync operations
+//! execute here atomically ([`GcsMsg::SyncOp`]), spinners park in a
+//! per-word waiter set ([`GcsMsg::SyncWatch`]), and every value change
+//! pushes targeted [`GcsMsg::SyncNotify`] wakeups — no writer-initiated
+//! invalidations, no broadcast.
 //!
 //! Promotion of a currently-registered word runs a recall handshake: the
 //! bank sends [`GcsMsg::Recall`], parks everything that arrives for the
 //! word, and settles when the value comes back (via [`GcsMsg::RecallAck`]
 //! or a crossing writeback, whichever wins the race).
+//!
+//! The registry enters the tier at two hooks: **dispatch** hands the tier
+//! every sync-path message and every message for a classified word
+//! (`DnvRegistry::on_sync_tier`), and a **sync-class registration that
+//! contends** for a registered word is rejected with `Classified` instead
+//! of re-pointed (`DnvRegistry::sync_contended`).
 
 use crate::config::ProtocolMutation;
-use crate::denovo::registry::RegWord;
-use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, LineData, Msg};
+use crate::denovo::registry::{DnvRegistry, RegWord};
+use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
 use crate::proto::Action;
-use dvs_mem::{LineAddr, MemoryLayout, SpanMap, WordAddr, LINE_BYTES, WORDS_PER_LINE};
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
+use dvs_mem::WordAddr;
+use dvs_telemetry::{Component, Event, EventKind, TelemetryKey};
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// Maximum cores a waiter set can track.
 const MAX_WAITERS: usize = 256;
@@ -58,8 +66,8 @@ impl WaiterMask {
     }
 }
 
-/// Directory state for one sync-classified word. Presence in the bank's
-/// sync map *is* the classification — entries are never removed.
+/// Directory state for one sync-classified word. Presence in the sync map
+/// *is* the classification — entries are never removed.
 #[derive(Debug, Clone, Hash)]
 struct SyncEntry {
     /// Cores to wake on the next value change.
@@ -78,186 +86,120 @@ impl SyncEntry {
             pending: VecDeque::new(),
         }
     }
-}
 
-#[derive(Debug, Clone, Hash)]
-struct GcsLine {
-    words: [RegWord; WORDS_PER_LINE],
-    has_data: bool,
-    fetching: bool,
-    queue: VecDeque<Msg>,
-}
-
-impl GcsLine {
-    fn new() -> Self {
-        GcsLine {
-            words: [RegWord::Valid(0); WORDS_PER_LINE],
-            has_data: false,
-            fetching: false,
-            queue: VecDeque::new(),
-        }
+    fn busy(&self) -> bool {
+        self.recalling || !self.pending.is_empty()
     }
 }
 
-/// One L2 bank's slice of the GCS directory.
-#[derive(Debug, Clone)]
-pub struct GcsBank {
-    bank: BankId,
-    mem: Endpoint,
-    lines: SpanMap<GcsLine>,
-    /// Sync-classified words homed here (sticky; sorted for canonical hash).
-    sync: BTreeMap<WordAddr, SyncEntry>,
-    mutation: Option<ProtocolMutation>,
+/// A GCS bank's sync tier: the sync-classified words it homes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SyncDirectory {
+    /// Sync-classified words (sticky; sorted for canonical hash).
+    entries: BTreeMap<WordAddr, SyncEntry>,
     /// Targeted wakeup notifications sent (metric).
     notifies: u64,
     /// Recall handshakes started (metric).
     recalls: u64,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
 }
 
-impl GcsBank {
-    /// Creates an empty bank fetching lines through `mem`.
-    pub fn new(bank: BankId, mem: Endpoint) -> Self {
-        GcsBank {
-            bank,
-            mem,
-            lines: SpanMap::sparse_only(),
-            sync: BTreeMap::new(),
-            mutation: None,
-            notifies: 0,
-            recalls: 0,
-            tel: Telemetry::off(),
-        }
+/// Canonical hash: the classified words. The notify and recall counters
+/// are metrics and excluded.
+impl Hash for SyncDirectory {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entries.hash(state);
+    }
+}
+
+impl DnvRegistry {
+    /// Creates an empty GCS bank fetching lines through `mem`: the DeNovo
+    /// registry with a sync directory.
+    pub fn new_gcs(bank: BankId, mem: Endpoint) -> Self {
+        let mut r = Self::new(bank, mem);
+        r.sync = Some(SyncDirectory::default());
+        r
     }
 
-    /// Sizes the dense line table from the workload layout (see
-    /// [`crate::denovo::registry::DnvRegistry::configure_span`]).
-    pub fn configure_span(&mut self, layout: &MemoryLayout, banks: usize) {
-        debug_assert!(self.lines.is_empty(), "span configured after traffic");
-        let top_line = layout.top().div_ceil(LINE_BYTES);
-        let slots = top_line.div_ceil(banks as u64) as usize;
-        self.lines = SpanMap::with_span(self.bank as u64, banks as u64, slots);
+    fn dir(&self) -> Option<&SyncDirectory> {
+        self.sync.as_ref()
     }
 
-    /// Attaches a telemetry handle.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
+    fn dir_mut(&mut self) -> &mut SyncDirectory {
+        self.sync.as_mut().expect("GCS sync tier")
     }
 
-    /// Arms a seeded protocol bug (negative testing).
-    pub fn set_mutation(&mut self, mutation: Option<ProtocolMutation>) {
-        self.mutation = mutation;
+    fn entry_mut(&mut self, word: WordAddr) -> &mut SyncEntry {
+        self.dir_mut()
+            .entries
+            .get_mut(&word)
+            .expect("classified entry")
+    }
+
+    /// Whether this bank runs GCS's sync tier.
+    pub fn has_sync_tier(&self) -> bool {
+        self.sync.is_some()
     }
 
     /// Targeted wakeup notifications sent so far.
     pub fn notifies(&self) -> u64 {
-        self.notifies
+        self.dir().map_or(0, |d| d.notifies)
     }
 
     /// Recall handshakes started so far.
     pub fn recalls(&self) -> u64 {
-        self.recalls
-    }
-
-    /// The registry state of a word, if its line has been touched.
-    pub fn word(&self, word: WordAddr) -> Option<RegWord> {
-        let line = self.lines.get(word.line().raw())?;
-        line.has_data.then_some(line.words[word.index_in_line()])
+        self.dir().map_or(0, |d| d.recalls)
     }
 
     /// Whether `word` is sync-classified at this bank.
     pub fn classified(&self, word: WordAddr) -> bool {
-        self.sync.contains_key(&word)
+        self.dir().is_some_and(|d| d.entries.contains_key(&word))
     }
 
     /// Iterates every sync-classified word homed here.
     pub fn classified_words(&self) -> impl Iterator<Item = WordAddr> + '_ {
-        self.sync.keys().copied()
+        self.dir()
+            .into_iter()
+            .flat_map(|d| d.entries.keys().copied())
     }
 
     /// Whether a recall handshake is in flight for `word`.
     pub fn recalling(&self, word: WordAddr) -> bool {
-        self.sync.get(&word).is_some_and(|e| e.recalling)
+        self.dir()
+            .and_then(|d| d.entries.get(&word))
+            .is_some_and(|e| e.recalling)
     }
 
     /// The cores currently parked in `word`'s waiter set.
     pub fn waiters_of(&self, word: WordAddr) -> Vec<CoreId> {
-        self.sync
-            .get(&word)
+        self.dir()
+            .and_then(|d| d.entries.get(&word))
             .map_or_else(Vec::new, |e| e.waiters.iter().collect())
     }
 
     /// Total parked waiters across all classified words.
     pub fn waiter_count(&self) -> usize {
-        self.sync.values().map(|e| e.waiters.iter().count()).sum()
-    }
-
-    /// Number of words currently registered to some L1.
-    pub fn registered_words(&self) -> usize {
-        self.lines
-            .iter()
-            .flat_map(|(_, l)| l.words.iter())
-            .filter(|w| matches!(w, RegWord::Registered(_)))
-            .count()
-    }
-
-    /// Iterates every word currently registered to some core.
-    pub fn registrations(&self) -> impl Iterator<Item = (WordAddr, CoreId)> + '_ {
-        self.lines.iter().flat_map(|(raw, e)| {
-            let line = LineAddr::new(raw);
-            e.words
-                .iter()
-                .enumerate()
-                .filter_map(move |(i, w)| match w {
-                    RegWord::Registered(c) => Some((line.word(i), *c)),
-                    RegWord::Valid(_) => None,
-                })
+        self.dir().map_or(0, |d| {
+            d.entries.values().map(|e| e.waiters.iter().count()).sum()
         })
-    }
-
-    /// Whether any line is still waiting on a memory fetch.
-    pub fn any_fetching(&self) -> bool {
-        self.lines
-            .iter()
-            .any(|(_, l)| l.fetching || !l.queue.is_empty())
     }
 
     /// Whether any sync entry is mid-recall or holds parked messages (for
     /// quiescence checks).
     pub fn sync_busy(&self) -> bool {
-        self.sync
-            .values()
-            .any(|e| e.recalling || !e.pending.is_empty())
+        self.dir()
+            .is_some_and(|d| d.entries.values().any(SyncEntry::busy))
     }
 
-    /// Whether the line is still being resolved — fetching, holding queued
-    /// requests, unfilled, or mid-recall on one of its words. The transient
-    /// exemption for the runtime conservation checker.
-    pub fn line_busy(&self, line: LineAddr) -> bool {
-        self.lines
-            .get(line.raw())
-            .is_some_and(|l| l.fetching || !l.queue.is_empty() || !l.has_data)
-            || line.words().any(|w| {
-                self.sync
-                    .get(&w)
-                    .is_some_and(|e| e.recalling || !e.pending.is_empty())
-            })
+    /// Whether `word`'s sync entry is mid-recall or holds parked messages.
+    pub(crate) fn sync_word_busy(&self, word: WordAddr) -> bool {
+        self.dir()
+            .and_then(|d| d.entries.get(&word))
+            .is_some_and(SyncEntry::busy)
     }
 
-    /// A one-line human-readable description of a word's state (stall
-    /// diagnostics).
-    pub fn describe_word(&self, word: WordAddr) -> Option<String> {
-        let e = self.lines.get(word.line().raw())?;
-        let mut s = format!(
-            "gcs bank {}: {word} {:?} has_data={} fetching={} queued={}",
-            self.bank,
-            e.words[word.index_in_line()],
-            e.has_data,
-            e.fetching,
-            e.queue.len()
-        );
-        if let Some(sync) = self.sync.get(&word) {
+    /// Appends `word`'s sync-entry state to a stall-report description.
+    pub(crate) fn describe_sync(&self, word: WordAddr, s: &mut String) {
+        if let Some(sync) = self.dir().and_then(|d| d.entries.get(&word)) {
             s.push_str(&format!(
                 " sync[recalling={} waiters={} parked={}]",
                 sync.recalling,
@@ -265,20 +207,6 @@ impl GcsBank {
                 sync.pending.len()
             ));
         }
-        Some(s)
-    }
-
-    fn emit_registration(&self, word: WordAddr, owner: CoreId, prev: Option<CoreId>) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.bank as u32,
-            component: Component::Dir,
-            addr: word.telemetry_key(),
-            kind: EventKind::Registration {
-                owner: owner as u32,
-                prev: prev.map_or(u32::MAX, |p| p as u32),
-            },
-        });
     }
 
     fn emit_classify(&self, word: WordAddr) {
@@ -295,86 +223,81 @@ impl GcsBank {
         });
     }
 
-    /// Handles one incoming message (data-path [`Msg::Dnv`] or sync-path
-    /// [`Msg::Gcs`]).
-    pub fn on_msg(&mut self, msg: Msg, actions: &mut Vec<Action>) {
-        let (word, class) = match &msg {
-            Msg::Dnv(m) => (m.word(), m.class()),
-            Msg::Gcs(m) => (m.word(), m.class()),
-            other => {
-                actions.push(Action::violation(format!(
-                    "gcs bank {} cannot handle {other:?}",
-                    self.bank
-                )));
-                return;
-            }
-        };
-        let line = word.line();
-        let entry = self.lines.or_insert_with(line.raw(), GcsLine::new);
-        if !entry.has_data {
-            entry.queue.push_back(msg);
-            if !entry.fetching {
-                entry.fetching = true;
-                actions.push(Action::Send {
-                    to: self.mem,
-                    msg: Msg::MemRead {
-                        line,
-                        bank: self.bank,
-                        class,
-                    },
-                });
-            }
-            return;
+    /// Hook: a sync-class registration by `req` hit `word` registered at
+    /// `prev`. Sync-on-sync contention is what marks a word as a
+    /// synchronization variable: classify it, recall it from `prev`, and
+    /// reject the registration. Returns whether the tier took the request
+    /// (never on DS0/DS, nor for plain data writes, which re-point).
+    pub(crate) fn sync_contended(
+        &mut self,
+        word: WordAddr,
+        prev: CoreId,
+        req: CoreId,
+        class: XferClass,
+        actions: &mut Vec<Action>,
+    ) -> bool {
+        if self.sync.is_none() || !class.registers() || class == XferClass::Write {
+            return false;
         }
-        self.dispatch(msg, actions);
+        self.classify(word, prev, actions);
+        actions.push(Action::Send {
+            to: Endpoint::L1(req),
+            msg: Msg::Gcs(GcsMsg::Classified { word }),
+        });
+        true
     }
 
-    /// Memory returned a line this bank was fetching.
-    pub fn on_mem_data(&mut self, line: LineAddr, data: LineData, actions: &mut Vec<Action>) {
-        let Some(entry) = self.lines.get_mut(line.raw()) else {
-            actions.push(Action::violation(format!(
-                "gcs bank {}: MemData for unknown line {line}",
-                self.bank
-            )));
-            return;
-        };
-        if !entry.fetching {
-            actions.push(Action::violation(format!(
-                "gcs bank {}: MemData for {line} that was not being fetched",
-                self.bank
-            )));
-            return;
-        }
-        for (i, w) in entry.words.iter_mut().enumerate() {
-            *w = RegWord::Valid(data[i]);
-        }
-        entry.has_data = true;
-        entry.fetching = false;
-        let queued: Vec<Msg> = entry.queue.drain(..).collect();
-        for m in queued {
-            self.dispatch(m, actions);
-        }
-    }
-
-    fn dispatch(&mut self, msg: Msg, actions: &mut Vec<Action>) {
+    /// Hook: a message the sync tier owns — a sync-path message, or any
+    /// message for a classified word.
+    pub(crate) fn on_sync_tier(&mut self, msg: Msg, actions: &mut Vec<Action>) {
         let word = match &msg {
             Msg::Dnv(m) => m.word(),
             Msg::Gcs(m) => m.word(),
             _ => unreachable!("filtered by on_msg"),
         };
-        match self.sync.get(&word).map(|e| e.recalling) {
+        match self
+            .dir()
+            .and_then(|d| d.entries.get(&word))
+            .map(|e| e.recalling)
+        {
             Some(true) => self.on_recalling(word, msg, actions),
-            Some(false) => self.on_classified(word, msg, actions),
-            None => self.on_unclassified(word, msg, actions),
+            Some(false) => self.on_classified_word(word, msg, actions),
+            None => self.on_unclassified_sync(word, msg, actions),
         }
     }
 
-    fn word_slot(&mut self, word: WordAddr) -> &mut RegWord {
-        let entry = self
-            .lines
-            .get_mut(word.line().raw())
-            .expect("line fetched before dispatch");
-        &mut entry.words[word.index_in_line()]
+    /// A sync op can only reach an unclassified word when the sender's
+    /// predictor outlives knowledge this bank never had (fresh bank state in
+    /// unit tests); classify on demand.
+    fn on_unclassified_sync(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
+        let req = match msg {
+            Msg::Gcs(GcsMsg::SyncOp { req, .. }) | Msg::Gcs(GcsMsg::SyncWatch { req, .. }) => req,
+            other => {
+                actions.push(Action::violation(format!(
+                    "registry bank {} cannot handle {other:?}",
+                    self.bank
+                )));
+                return;
+            }
+        };
+        match *self.word_slot(word) {
+            RegWord::Registered(owner) => {
+                if owner == req {
+                    actions.push(Action::violation(format!(
+                        "registry bank {}: sync op for {word} from its own registrant core {req}",
+                        self.bank
+                    )));
+                    return;
+                }
+                self.classify(word, owner, actions);
+                self.entry_mut(word).pending.push_back(msg);
+            }
+            RegWord::Valid(_) => {
+                self.dir_mut().entries.insert(word, SyncEntry::new(false));
+                self.emit_classify(word);
+                self.on_classified_word(word, msg, actions);
+            }
+        }
     }
 
     /// A recall handshake is in flight: accept the returning value (a
@@ -382,37 +305,24 @@ impl GcsBank {
     /// read traffic, and turn registrations away immediately.
     fn on_recalling(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
         match msg {
-            Msg::Dnv(DnvMsg::WbReq { value, from, .. }) => match *self.word_slot(word) {
-                // The registrant's eviction writeback crossed our recall:
-                // accept it as the recall return (its L1 drops the recall).
-                RegWord::Registered(owner) if owner == from => {
-                    *self.word_slot(word) = RegWord::Valid(value);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(from),
-                        msg: Msg::Dnv(DnvMsg::WbAck { word }),
-                    });
+            // The registrant's eviction writeback crossed our recall:
+            // accept it as the recall return (its L1 drops the recall).
+            Msg::Dnv(DnvMsg::WbReq { value, from, .. }) => {
+                if self.on_writeback(word, value, from, actions) {
                     self.settle_recall(word, actions);
                 }
-                RegWord::Registered(_) => actions.push(Action::Send {
-                    to: Endpoint::L1(from),
-                    msg: Msg::Dnv(DnvMsg::WbNack { word }),
-                }),
-                RegWord::Valid(_) => actions.push(Action::violation(format!(
-                    "gcs bank {}: writeback for recalled word {word} the bank already holds",
-                    self.bank
-                ))),
-            },
+            }
             Msg::Gcs(GcsMsg::RecallAck { from, value, .. }) => {
                 let RegWord::Registered(owner) = *self.word_slot(word) else {
                     actions.push(Action::violation(format!(
-                        "gcs bank {}: RecallAck for {word} the bank already holds",
+                        "registry bank {}: RecallAck for {word} the bank already holds",
                         self.bank
                     )));
                     return;
                 };
                 if owner != from {
                     actions.push(Action::violation(format!(
-                        "gcs bank {}: RecallAck for {word} from core {from}, \
+                        "registry bank {}: RecallAck for {word} from core {from}, \
                          registrant is core {owner}",
                         self.bank
                     )));
@@ -420,7 +330,7 @@ impl GcsBank {
                 }
                 let Some(value) = value else {
                     actions.push(Action::violation(format!(
-                        "gcs bank {}: registrant core {from} answered the recall of \
+                        "registry bank {}: registrant core {from} answered the recall of \
                          {word} without the value",
                         self.bank
                     )));
@@ -437,18 +347,17 @@ impl GcsBank {
             Msg::Dnv(DnvMsg::ReadReq { .. })
             | Msg::Gcs(GcsMsg::SyncOp { .. })
             | Msg::Gcs(GcsMsg::SyncWatch { .. }) => {
-                let entry = self.sync.get_mut(&word).expect("recalling entry");
-                entry.pending.push_back(msg);
+                self.entry_mut(word).pending.push_back(msg);
             }
             other => actions.push(Action::violation(format!(
-                "gcs bank {} cannot handle {other:?} while recalling {word}",
+                "registry bank {} cannot handle {other:?} while recalling {word}",
                 self.bank
             ))),
         }
     }
 
     fn settle_recall(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
-        let entry = self.sync.get_mut(&word).expect("recalling entry");
+        let entry = self.entry_mut(word);
         entry.recalling = false;
         let pending: Vec<Msg> = entry.pending.drain(..).collect();
         for m in pending {
@@ -457,7 +366,7 @@ impl GcsBank {
     }
 
     /// The word is classified and settled at the bank.
-    fn on_classified(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
+    fn on_classified_word(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
         match msg {
             Msg::Gcs(GcsMsg::SyncOp { req, op, .. }) => self.exec_sync(word, req, op, actions),
             Msg::Gcs(GcsMsg::SyncWatch { req, seen, .. }) => self.watch(word, req, seen, actions),
@@ -468,7 +377,7 @@ impl GcsBank {
             Msg::Dnv(DnvMsg::ReadReq { req, .. }) => {
                 let RegWord::Valid(value) = *self.word_slot(word) else {
                     actions.push(Action::violation(format!(
-                        "gcs bank {}: classified word {word} registered away",
+                        "registry bank {}: classified word {word} registered away",
                         self.bank
                     )));
                     return;
@@ -479,121 +388,7 @@ impl GcsBank {
             // already returned the word; the handshake is long settled.
             Msg::Gcs(GcsMsg::RecallAck { value: None, .. }) => {}
             other => actions.push(Action::violation(format!(
-                "gcs bank {} cannot handle {other:?} for classified word {word}",
-                self.bank
-            ))),
-        }
-    }
-
-    /// The word is ordinary data so far: behave like the DeNovo registry,
-    /// but promote to sync-classified on synchronization contention.
-    fn on_unclassified(&mut self, word: WordAddr, msg: Msg, actions: &mut Vec<Action>) {
-        match msg {
-            // A sync op can only reach an unclassified word when the
-            // sender's predictor outlives knowledge this bank never had
-            // (fresh bank state in unit tests); classify on demand.
-            Msg::Gcs(GcsMsg::SyncOp { req, .. }) | Msg::Gcs(GcsMsg::SyncWatch { req, .. }) => {
-                match *self.word_slot(word) {
-                    RegWord::Registered(owner) => {
-                        if owner == req {
-                            actions.push(Action::violation(format!(
-                                "gcs bank {}: sync op for {word} from its own \
-                                 registrant core {req}",
-                                self.bank
-                            )));
-                            return;
-                        }
-                        self.classify(word, owner, actions);
-                        let entry = self.sync.get_mut(&word).expect("just classified");
-                        entry.pending.push_back(msg);
-                    }
-                    RegWord::Valid(_) => {
-                        self.sync.insert(word, SyncEntry::new(false));
-                        self.emit_classify(word);
-                        self.on_classified(word, msg, actions);
-                    }
-                }
-            }
-            Msg::Dnv(DnvMsg::RegReq { req, class, .. }) => {
-                match *self.word_slot(word) {
-                    RegWord::Valid(value) => {
-                        *self.word_slot(word) = RegWord::Registered(req);
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(req),
-                            msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                        });
-                        self.emit_registration(word, req, None);
-                    }
-                    RegWord::Registered(prev) => {
-                        if prev == req {
-                            actions.push(Action::violation(format!(
-                                "gcs bank {}: re-registration of {word} by current \
-                                 registrant core {req}",
-                                self.bank
-                            )));
-                            return;
-                        }
-                        if class.registers() && class != crate::msg::XferClass::Write {
-                            // Sync-on-sync contention: this is what marks a
-                            // word as a synchronization variable.
-                            self.classify(word, prev, actions);
-                            actions.push(Action::Send {
-                                to: Endpoint::L1(req),
-                                msg: Msg::Gcs(GcsMsg::Classified { word }),
-                            });
-                            return;
-                        }
-                        // Plain data-write contention: the DeNovo
-                        // non-blocking re-point, no classification.
-                        *self.word_slot(word) = RegWord::Registered(req);
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(prev),
-                            msg: Msg::Dnv(DnvMsg::Xfer {
-                                word,
-                                new_owner: req,
-                                class,
-                            }),
-                        });
-                        self.emit_registration(word, req, Some(prev));
-                    }
-                }
-            }
-            Msg::Dnv(DnvMsg::ReadReq { req, .. }) => match *self.word_slot(word) {
-                RegWord::Valid(value) => self.serve_read(word, req, value, actions),
-                RegWord::Registered(owner) => {
-                    if owner == req {
-                        actions.push(Action::violation(format!(
-                            "gcs bank {}: registrant core {req} data-reading its own \
-                             word {word} remotely",
-                            self.bank
-                        )));
-                        return;
-                    }
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(owner),
-                        msg: Msg::Dnv(DnvMsg::ReadReq { word, req }),
-                    });
-                }
-            },
-            Msg::Dnv(DnvMsg::WbReq { value, from, .. }) => match *self.word_slot(word) {
-                RegWord::Registered(owner) if owner == from => {
-                    *self.word_slot(word) = RegWord::Valid(value);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(from),
-                        msg: Msg::Dnv(DnvMsg::WbAck { word }),
-                    });
-                }
-                RegWord::Registered(_) => actions.push(Action::Send {
-                    to: Endpoint::L1(from),
-                    msg: Msg::Dnv(DnvMsg::WbNack { word }),
-                }),
-                RegWord::Valid(_) => actions.push(Action::violation(format!(
-                    "gcs bank {}: writeback for {word}, which the registry already holds",
-                    self.bank
-                ))),
-            },
-            other => actions.push(Action::violation(format!(
-                "gcs bank {} cannot handle {other:?}",
+                "registry bank {} cannot handle {other:?} for classified word {word}",
                 self.bank
             ))),
         }
@@ -602,8 +397,9 @@ impl GcsBank {
     /// Promotes `word` to sync-classified and starts recalling it from its
     /// current registrant.
     fn classify(&mut self, word: WordAddr, registrant: CoreId, actions: &mut Vec<Action>) {
-        self.sync.insert(word, SyncEntry::new(true));
-        self.recalls += 1;
+        let dir = self.dir_mut();
+        dir.entries.insert(word, SyncEntry::new(true));
+        dir.recalls += 1;
         self.emit_classify(word);
         actions.push(Action::Send {
             to: Endpoint::L1(registrant),
@@ -616,7 +412,7 @@ impl GcsBank {
     fn exec_sync(&mut self, word: WordAddr, req: CoreId, op: GcsOpKind, actions: &mut Vec<Action>) {
         let RegWord::Valid(old) = *self.word_slot(word) else {
             actions.push(Action::violation(format!(
-                "gcs bank {}: classified word {word} registered away during sync op",
+                "registry bank {}: classified word {word} registered away during sync op",
                 self.bank
             )));
             return;
@@ -648,14 +444,14 @@ impl GcsBank {
     fn watch(&mut self, word: WordAddr, req: CoreId, seen: u64, actions: &mut Vec<Action>) {
         let RegWord::Valid(cur) = *self.word_slot(word) else {
             actions.push(Action::violation(format!(
-                "gcs bank {}: classified word {word} registered away during watch",
+                "registry bank {}: classified word {word} registered away during watch",
                 self.bank
             )));
             return;
         };
         if cur != seen {
             if self.mutation != Some(ProtocolMutation::GcsDropNotify) {
-                self.notifies += 1;
+                self.dir_mut().notifies += 1;
                 actions.push(Action::Send {
                     to: Endpoint::L1(req),
                     msg: Msg::Gcs(GcsMsg::SyncNotify { word, value: cur }),
@@ -663,8 +459,7 @@ impl GcsBank {
             }
             return;
         }
-        let entry = self.sync.get_mut(&word).expect("classified entry");
-        entry.waiters.set(req);
+        self.entry_mut(word).waiters.set(req);
     }
 
     /// Pushes the new value to every parked waiter. The waiter set always
@@ -677,14 +472,13 @@ impl GcsBank {
         writer: CoreId,
         actions: &mut Vec<Action>,
     ) {
-        let entry = self.sync.get_mut(&word).expect("classified entry");
-        let waiters = entry.waiters.drain();
+        let waiters = self.entry_mut(word).waiters.drain();
         if waiters.is_empty() {
             return;
         }
         if self.mutation != Some(ProtocolMutation::GcsDropNotify) {
             for &c in &waiters {
-                self.notifies += 1;
+                self.dir_mut().notifies += 1;
                 actions.push(Action::Send {
                     to: Endpoint::L1(c),
                     msg: Msg::Gcs(GcsMsg::SyncNotify { word, value }),
@@ -702,60 +496,19 @@ impl GcsBank {
             },
         });
     }
-
-    /// Serves a data read from the bank, piggy-backing the line's other
-    /// valid words (only valid parts travel — DeNovo's traffic advantage).
-    fn serve_read(&mut self, word: WordAddr, req: CoreId, value: u64, actions: &mut Vec<Action>) {
-        let entry = self
-            .lines
-            .get(word.line().raw())
-            .expect("line fetched before dispatch");
-        let idx = word.index_in_line();
-        let mut mask = 0u8;
-        let mut data = [0u64; WORDS_PER_LINE];
-        for (i, w) in entry.words.iter().enumerate() {
-            if i != idx {
-                if let RegWord::Valid(v) = *w {
-                    mask |= 1 << i;
-                    data[i] = v;
-                }
-            }
-        }
-        actions.push(Action::Send {
-            to: Endpoint::L1(req),
-            msg: Msg::Dnv(DnvMsg::ReadResp {
-                word,
-                value,
-                fill: Some((mask, data)),
-            }),
-        });
-    }
-}
-
-/// Canonical hash for model checking: lines and sync entries sorted by
-/// address; queued and parked messages hash in FIFO order. The notify and
-/// recall counters are metrics and excluded.
-impl std::hash::Hash for GcsBank {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.bank.hash(state);
-        self.mem.hash(state);
-        self.lines.hash(state);
-        self.sync.hash(state);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::XferClass;
     use dvs_mem::RmwOp;
 
     fn word(i: u64) -> WordAddr {
         WordAddr::new(64 + i)
     }
 
-    fn warmed() -> GcsBank {
-        let mut b = GcsBank::new(0, Endpoint::Mem(0));
+    fn warmed() -> DnvRegistry {
+        let mut b = DnvRegistry::new_gcs(0, Endpoint::Mem(0));
         let mut acts = Vec::new();
         b.on_msg(
             Msg::Dnv(DnvMsg::ReadReq {
@@ -771,7 +524,7 @@ mod tests {
         b
     }
 
-    fn reg(b: &mut GcsBank, w: WordAddr, core: CoreId, class: XferClass) {
+    fn reg(b: &mut DnvRegistry, w: WordAddr, core: CoreId, class: XferClass) {
         let mut acts = Vec::new();
         b.on_msg(
             Msg::Dnv(DnvMsg::RegReq {

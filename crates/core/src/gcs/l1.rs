@@ -1,41 +1,47 @@
-//! The GCS private-cache (L1) controller.
+//! GCS's L1 sync tier.
 //!
-//! Ordinary data follows the DeNovo ownership/registration path verbatim
-//! (word-granularity Invalid / Valid / Registered, writeback handshakes,
-//! the distributed registration queue) — see [`crate::denovo::l1`]. What
-//! changes is synchronization:
+//! A GCS L1 *is* the DeNovo L1 ([`crate::denovo::l1`]): ordinary data takes
+//! the DeNovo data path unchanged — word-granularity Invalid / Valid /
+//! Registered, writeback handshakes, the distributed registration queue,
+//! reader self-invalidation. In place of DeNovoSync's backoff unit the L1
+//! carries a `GcsTier`, and this module holds everything the tier adds:
 //!
 //! * sync accesses to *unclassified* words issue optimistic DeNovo
-//!   registrations, exactly like DeNovoSync0 (no hardware backoff);
+//!   registrations, exactly like DeNovoSync0;
 //! * when the home bank classifies a word as a synchronization variable it
-//!   answers registrations with `Classified`; the L1 converts the pending
-//!   access into a [`GcsMsg::SyncOp`] executed *at the bank* and records
-//!   the word in its bounded [`SyncPredictor`];
-//! * predicted-sync accesses skip the optimistic attempt and go straight
-//!   down the dedicated path;
+//!   answers registrations with `Classified`; [`DnvL1::on_gcs`] converts
+//!   the pending access into a [`GcsMsg::SyncOp`] executed *at the bank*
+//!   and records the word in the bounded [`SyncPredictor`];
 //! * a failed spin on a classified word arms a level-triggered remote
 //!   watch ([`GcsMsg::SyncWatch`]); the bank's targeted [`GcsMsg::SyncNotify`]
 //!   lands in a one-entry notify buffer that the re-issued spin load hits;
 //! * `Recall` surrenders a just-classified word's registered copy back to
 //!   the bank (the value rides on [`GcsMsg::RecallAck`]).
+//!
+//! The shared data path enters the tier at four hooks:
+//!
+//! * **predicted-sync routing** in `core_request`: a miss on a word the
+//!   predictor knows goes straight down the sync path
+//!   (`DnvL1::start_sync_op`) and a spin load first checks the notify
+//!   buffer (`DnvL1::take_notified`);
+//! * **a transfer on a `SyncWait` entry** is a violation: the bank never
+//!   re-points a classified word;
+//! * **a parked recall** is served right after the registration it waited
+//!   on completes (`DnvL1::surrender_recalled`);
+//! * **a `Classified` rejection** of a registration converts the pending
+//!   access ([`DnvL1::on_gcs`]).
 
-use crate::denovo::l1::{DnvLine, DnvWord, WState};
+use crate::denovo::l1::{DnvL1, PendKind, SyncTier, WState};
 use crate::gcs::predictor::SyncPredictor;
-use crate::msg::{CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
-use crate::proto::{Action, IssueResult};
-use dvs_mem::array::InsertOutcome;
+use crate::msg::{GcsMsg, GcsOpKind, Msg};
+use crate::proto::Action;
 use dvs_mem::layout::MemoryLayout;
-use dvs_mem::{
-    AccessKind, CacheArray, CacheGeometry, LineAddr, Mshr, Region, RmwOp, WordAddr, WORDS_PER_LINE,
-};
-use dvs_stats::CacheStats;
-use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
-use dvs_vm::MemRequest;
+use dvs_mem::{AccessKind, CacheGeometry, RmwOp, WordAddr};
 use std::sync::Arc;
 
 /// How to complete a dedicated-path operation when its `SyncResp` arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum SyncComplete {
+pub(crate) enum SyncComplete {
     /// Blocking sync load: `CoreDone` with the loaded value.
     Load,
     /// Blocking sync store: `CoreDone` with no value.
@@ -47,166 +53,98 @@ enum SyncComplete {
     DataStore { value: u64 },
 }
 
-/// What an MSHR entry is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PendKind {
-    /// Non-ownership data read.
-    Read,
-    /// Optimistic synchronization-read registration.
-    SyncRead,
-    /// Data-write registration (the word is already Registered locally).
-    Write,
-    /// Optimistic synchronization-write registration.
-    SyncWrite { value: u64 },
-    /// Optimistic RMW registration.
-    Rmw { op: RmwOp },
-    /// Writeback handshake in flight.
-    Wb { value: u64, nacked: bool },
-    /// Dedicated sync path: a `SyncOp` is executing at the home bank.
-    SyncWait { complete: SyncComplete },
+/// The GCS L1's sync-tier state.
+#[derive(Debug, Clone)]
+pub(crate) struct GcsTier {
+    /// Words this L1 has learned are sync-classified.
+    pub(crate) predictor: SyncPredictor,
+    /// Remote spin watch: `(word, seen)` sent to the bank as `SyncWatch`.
+    pub(crate) remote_watch: Option<(WordAddr, u64)>,
+    /// The last targeted notification `(word, value)`; consumed by the
+    /// re-issued spin load.
+    pub(crate) notify_buf: Option<(WordAddr, u64)>,
 }
 
-/// One outstanding word-granularity transaction.
-#[derive(Debug, Clone, Hash)]
-struct Pend {
-    kind: PendKind,
-    /// Forwarded data reads that arrived while we were pending.
-    parked_reads: Vec<CoreId>,
-    /// A forwarded registration transfer that arrived while we were
-    /// pending (at most one — the registry serializes).
-    parked_xfer: Option<(CoreId, XferClass)>,
-    /// A `Recall` that arrived while our own registration was still in
-    /// flight; served right after the operation completes. Mutually
-    /// exclusive with `parked_xfer` (the bank stops re-pointing a word the
-    /// moment it classifies it).
-    parked_recall: bool,
-}
-
-impl Pend {
-    fn new(kind: PendKind) -> Self {
-        Pend {
-            kind,
-            parked_reads: Vec::new(),
-            parked_xfer: None,
-            parked_recall: false,
+/// The sync-path operation and its completion for a core access.
+fn sync_op_for(access: AccessKind) -> (SyncComplete, GcsOpKind) {
+    match access {
+        AccessKind::SyncLoad => (SyncComplete::Load, GcsOpKind::Load),
+        AccessKind::SyncStore { value } => {
+            (SyncComplete::Store { value }, GcsOpKind::Store { value })
         }
+        AccessKind::SyncRmw(op) => (SyncComplete::Rmw { op }, GcsOpKind::Rmw(op)),
+        AccessKind::DataStore { value } => (
+            SyncComplete::DataStore { value },
+            GcsOpKind::Store { value },
+        ),
+        AccessKind::DataLoad => unreachable!("data loads never take the sync path"),
     }
 }
 
-/// The GCS L1 controller for one core.
-#[derive(Debug, Clone)]
-pub struct GcsL1 {
-    id: CoreId,
-    banks: usize,
-    cache: CacheArray<DnvLine>,
-    mshr: Mshr<WordAddr, Pend>,
-    predictor: SyncPredictor,
-    /// Local spin watch on a word this L1 holds Registered.
-    watch: Option<WordAddr>,
-    /// Remote spin watch: `(word, seen)` sent to the bank as `SyncWatch`.
-    remote_watch: Option<(WordAddr, u64)>,
-    /// The last targeted notification `(word, value)`; consumed by the
-    /// re-issued spin load.
-    notify_buf: Option<(WordAddr, u64)>,
-    layout: Arc<MemoryLayout>,
-    stats: CacheStats,
-    /// Observability only — excluded from `Hash`, never affects behaviour.
-    tel: Telemetry,
-}
-
-fn bank_for(word: WordAddr, banks: usize) -> usize {
-    (word.line().raw() % banks as u64) as usize
-}
-
-impl GcsL1 {
-    /// Creates an empty GCS L1 for core `id`.
-    pub fn new(
-        id: CoreId,
+impl DnvL1 {
+    /// Creates an empty GCS L1 for core `id`: the DeNovo L1 with the GCS
+    /// sync tier in place of the backoff unit.
+    pub fn new_gcs(
+        id: crate::msg::CoreId,
         geometry: CacheGeometry,
         banks: usize,
         layout: Arc<MemoryLayout>,
     ) -> Self {
-        GcsL1 {
-            id,
-            banks,
-            cache: CacheArray::new(geometry),
-            mshr: Mshr::unbounded(),
+        let tier = GcsTier {
             predictor: SyncPredictor::new(SyncPredictor::DEFAULT_SLOTS),
-            watch: None,
             remote_watch: None,
             notify_buf: None,
-            layout,
-            stats: CacheStats::new(),
-            tel: Telemetry::off(),
+        };
+        Self::with_tier(id, geometry, banks, SyncTier::Gcs(tier), layout)
+    }
+
+    fn gcs(&self) -> Option<&GcsTier> {
+        match &self.tier {
+            SyncTier::Gcs(g) => Some(g),
+            SyncTier::Backoff(_) => None,
         }
     }
 
-    /// Attaches a telemetry handle.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.mshr.set_telemetry(tel.clone(), self.id as u32);
-        self.tel = tel;
+    fn gcs_mut(&mut self) -> Option<&mut GcsTier> {
+        match &mut self.tier {
+            SyncTier::Gcs(g) => Some(g),
+            SyncTier::Backoff(_) => None,
+        }
     }
 
-    /// Peak simultaneous MSHR occupancy observed.
-    pub fn mshr_high_water(&self) -> usize {
-        self.mshr.high_water()
+    /// Whether this L1 predicts `word` is sync-classified at its bank
+    /// (always false outside GCS).
+    pub fn predicts_sync(&self, word: WordAddr) -> bool {
+        self.gcs().is_some_and(|g| g.predictor.contains(word))
     }
 
-    fn emit_transition(
-        &self,
-        word: WordAddr,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        self.tel.emit(|| Event {
-            cycle: self.tel.now(),
-            node: self.id as u32,
-            component: Component::L1,
-            addr: word.telemetry_key(),
-            kind: EventKind::Transition { from, to, cause },
-        });
+    /// The word this L1 is remote-watching, if any (invariant checking).
+    pub fn remote_watch_word(&self) -> Option<WordAddr> {
+        self.gcs().and_then(|g| g.remote_watch.map(|(w, _)| w))
+    }
+
+    /// Whether a bank recall is parked on `word`'s MSHR entry.
+    pub fn has_parked_recall(&self, word: WordAddr) -> bool {
+        self.mshr.get(&word).is_some_and(|p| p.recall_parked())
     }
 
     /// Records `word` as sync-classified (idempotent) and emits the
     /// data→sync classification transition the first time.
     fn learn(&mut self, word: WordAddr, cause: &'static str) {
-        if !self.predictor.contains(word) {
+        if !self.predicts_sync(word) {
             self.emit_transition(word, "data", "sync", cause);
         }
-        self.predictor.insert(word);
-    }
-
-    /// Cache-access statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// The sync predictor (diagnostics).
-    pub fn predictor(&self) -> &SyncPredictor {
-        &self.predictor
-    }
-
-    /// Whether this L1 predicts `word` is sync-classified at its bank.
-    pub fn predicts_sync(&self, word: WordAddr) -> bool {
-        self.predictor.contains(word)
-    }
-
-    /// Sets the local spin watch (the spun word is Registered here).
-    pub fn set_watch(&mut self, word: WordAddr) {
-        self.watch = Some(word);
-    }
-
-    /// Clears the local spin watch.
-    pub fn clear_watch(&mut self) {
-        self.watch = None;
+        if let Some(g) = self.gcs_mut() {
+            g.predictor.insert(word);
+        }
     }
 
     /// Arms a level-triggered remote watch for a classified word and sends
     /// the `SyncWatch` to the home bank. `seen` is the value the failed
     /// spin observed — the bank notifies immediately if it already differs.
     pub fn start_remote_watch(&mut self, word: WordAddr, seen: u64, actions: &mut Vec<Action>) {
-        self.remote_watch = Some((word, seen));
+        let g = self.gcs_mut().expect("remote watches are a GCS mechanism");
+        g.remote_watch = Some((word, seen));
         actions.push(Action::Send {
             to: self.home(word),
             msg: Msg::Gcs(GcsMsg::SyncWatch {
@@ -217,127 +155,30 @@ impl GcsL1 {
         });
     }
 
-    /// The word this L1 is remote-watching, if any (invariant checking).
-    pub fn remote_watch_word(&self) -> Option<WordAddr> {
-        self.remote_watch.map(|(w, _)| w)
-    }
-
-    /// Whether a synchronization read of `word` would hit right now.
-    pub fn word_registered(&self, word: WordAddr) -> bool {
-        !self.mshr.contains(&word) && self.word_state(word) == WState::Registered
-    }
-
-    /// The word's current state (Invalid if the line is absent).
-    pub fn word_state(&self, word: WordAddr) -> WState {
-        self.cache
-            .get(word.line())
-            .map_or(WState::Invalid, |l| l.words[word.index_in_line()].state)
-    }
-
-    /// The value of a word this core is responsible for (Registered in the
-    /// array, or held by a writeback handshake), if any.
-    pub fn peek_registered(&self, word: WordAddr) -> Option<u64> {
-        if let Some(Pend {
-            kind: PendKind::Wb { value, .. },
-            ..
-        }) = self.mshr.get(&word)
-        {
-            return Some(*value);
+    /// Hook: a spin load consumes a pending notification for `word`.
+    pub(crate) fn take_notified(&mut self, word: WordAddr) -> Option<u64> {
+        let g = self.gcs_mut()?;
+        let (w, value) = g.notify_buf?;
+        if w != word {
+            return None;
         }
-        let line = self.cache.get(word.line())?;
-        let w = line.words[word.index_in_line()];
-        (w.state == WState::Registered).then_some(w.value)
+        g.notify_buf = None;
+        Some(value)
     }
 
-    /// Iterates every word this L1 holds in Registered state.
-    pub fn registered_words(&self) -> impl Iterator<Item = WordAddr> + '_ {
-        self.cache.iter().flat_map(|(line, payload)| {
-            payload
-                .words
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.state == WState::Registered)
-                .map(move |(i, _)| line.word(i))
-        })
-    }
-
-    /// Number of outstanding MSHR transactions.
-    pub fn outstanding_txns(&self) -> usize {
-        self.mshr.len()
-    }
-
-    /// Whether this L1 has an outstanding MSHR transaction on `word`.
-    pub fn has_pending(&self, word: WordAddr) -> bool {
-        self.mshr.contains(&word)
-    }
-
-    /// Whether a forwarded registration transfer is parked on `word`'s
-    /// MSHR entry.
-    pub fn has_parked_xfer(&self, word: WordAddr) -> bool {
+    /// Hook: sends `access` down the dedicated sync path — a `SyncOp`
+    /// executed at the home bank, awaited in a `SyncWait` MSHR entry.
+    pub(crate) fn start_sync_op(
+        &mut self,
+        word: WordAddr,
+        access: AccessKind,
+        actions: &mut Vec<Action>,
+    ) {
+        let (complete, op) = sync_op_for(access);
         self.mshr
-            .get(&word)
-            .is_some_and(|p| p.parked_xfer.is_some())
-    }
-
-    /// Whether a bank recall is parked on `word`'s MSHR entry.
-    pub fn has_parked_recall(&self, word: WordAddr) -> bool {
-        self.mshr.get(&word).is_some_and(|p| p.parked_recall)
-    }
-
-    /// One `(word, description)` pair per outstanding MSHR entry.
-    pub fn pending_summaries(&self) -> Vec<(WordAddr, String)> {
-        self.mshr
-            .iter()
-            .map(|(w, p)| {
-                let mut desc = format!("{:?}", p.kind);
-                if !p.parked_reads.is_empty() {
-                    desc.push_str(&format!(", {} parked read(s)", p.parked_reads.len()));
-                }
-                if let Some((c, class)) = p.parked_xfer {
-                    desc.push_str(&format!(", parked xfer to core {c} ({class:?})"));
-                }
-                if p.parked_recall {
-                    desc.push_str(", parked recall");
-                }
-                (*w, desc)
-            })
-            .collect()
-    }
-
-    /// Self-invalidates every Valid word belonging to `region`.
-    pub fn self_invalidate(&mut self, region: Region) {
-        let layout = Arc::clone(&self.layout);
-        for (line, payload) in self.cache.iter_mut() {
-            for i in 0..WORDS_PER_LINE {
-                if payload.words[i].state == WState::Valid
-                    && layout.region_of_word(line.word(i)) == Some(region)
-                {
-                    payload.words[i].state = WState::Invalid;
-                }
-            }
-        }
-    }
-
-    /// Self-invalidates exactly the given words.
-    pub fn self_invalidate_words(&mut self, words: &[WordAddr]) {
-        for &word in words {
-            if let Some(line) = self.cache.get_mut(word.line()) {
-                let w = &mut line.words[word.index_in_line()];
-                if w.state == WState::Valid {
-                    w.state = WState::Invalid;
-                }
-            }
-        }
-    }
-
-    fn home(&self, word: WordAddr) -> Endpoint {
-        Endpoint::Bank(bank_for(word, self.banks))
-    }
-
-    fn word_mut(&mut self, word: WordAddr) -> Option<&mut DnvWord> {
-        self.cache
-            .get_mut(word.line())
-            .map(|l| &mut l.words[word.index_in_line()])
+            .try_insert(word, self.pend(PendKind::SyncWait { complete }))
+            .expect("fresh mshr");
+        self.send_sync_op(word, op, actions);
     }
 
     fn send_sync_op(&mut self, word: WordAddr, op: GcsOpKind, actions: &mut Vec<Action>) {
@@ -351,446 +192,63 @@ impl GcsL1 {
         });
     }
 
-    /// Presents a core memory request.
-    pub fn core_request(&mut self, req: &MemRequest, actions: &mut Vec<Action>) -> IssueResult {
-        let word = req.addr.word();
-        match req.kind {
-            AccessKind::DataLoad => {
-                if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
-                    match kind {
-                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                            return IssueResult::Blocked
-                        }
-                        PendKind::Write => { /* word is Registered locally: falls through */ }
-                        other => unreachable!("data load with own {other:?} pending"),
-                    }
-                }
-                match self.word_state(word) {
-                    WState::Valid | WState::Registered => {
-                        let value = self.word_mut(word).expect("resident").value;
-                        self.note_hit(req.kind);
-                        IssueResult::Hit { value: Some(value) }
-                    }
-                    WState::Invalid => {
-                        self.note_miss(req.kind);
-                        self.mshr
-                            .try_insert(word, Pend::new(PendKind::Read))
-                            .expect("fresh mshr");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::ReadReq { word, req: self.id }),
-                        });
-                        IssueResult::Miss
-                    }
-                }
-            }
-            AccessKind::DataStore { value } => {
-                if let Some(Pend { kind, .. }) = self.mshr.get(&word) {
-                    match kind {
-                        PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                            return IssueResult::Blocked
-                        }
-                        PendKind::Write => {
-                            self.word_mut(word).expect("registered word").value = value;
-                            self.note_hit(req.kind);
-                            return IssueResult::StoreAccepted { completed: true };
-                        }
-                        other => unreachable!("data store with own {other:?} pending"),
-                    }
-                }
-                if self.word_state(word) == WState::Registered {
-                    self.word_mut(word).expect("resident").value = value;
-                    self.note_hit(req.kind);
-                    return IssueResult::StoreAccepted { completed: true };
-                }
-                if self.predicts_sync(word) {
-                    // Classified words cannot be registered here: execute
-                    // the store at the directory.
-                    self.note_miss(req.kind);
-                    self.mshr
-                        .try_insert(
-                            word,
-                            Pend::new(PendKind::SyncWait {
-                                complete: SyncComplete::DataStore { value },
-                            }),
-                        )
-                        .expect("fresh mshr");
-                    self.send_sync_op(word, GcsOpKind::Store { value }, actions);
-                    return IssueResult::StoreAccepted { completed: false };
-                }
-                if !self.ensure_line(word.line(), actions) {
-                    return IssueResult::Blocked;
-                }
-                self.note_miss(req.kind);
-                let w = self.word_mut(word).expect("line just ensured");
-                let from = w.state.label();
-                w.state = WState::Registered;
-                w.value = value;
-                self.emit_transition(word, from, "R", "store");
-                self.mshr
-                    .try_insert(word, Pend::new(PendKind::Write))
-                    .expect("fresh mshr");
-                actions.push(Action::Send {
-                    to: self.home(word),
-                    msg: Msg::Dnv(DnvMsg::RegReq {
-                        word,
-                        req: self.id,
-                        class: XferClass::Write,
-                    }),
-                });
-                IssueResult::StoreAccepted { completed: false }
-            }
-            AccessKind::SyncLoad => {
-                if let Some((w, v)) = self.notify_buf {
-                    if w == word {
-                        // The targeted notification answers the re-issued
-                        // spin load without touching the network.
-                        self.notify_buf = None;
-                        self.note_hit(req.kind);
-                        return IssueResult::Hit { value: Some(v) };
-                    }
-                }
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked;
-                }
-                if self.word_state(word) == WState::Registered {
-                    let value = self.word_mut(word).expect("resident").value;
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: Some(value) };
-                }
-                self.note_miss(req.kind);
-                if self.predicts_sync(word) {
-                    self.mshr
-                        .try_insert(
-                            word,
-                            Pend::new(PendKind::SyncWait {
-                                complete: SyncComplete::Load,
-                            }),
-                        )
-                        .expect("fresh mshr");
-                    self.send_sync_op(word, GcsOpKind::Load, actions);
-                } else {
-                    self.mshr
-                        .try_insert(word, Pend::new(PendKind::SyncRead))
-                        .expect("fresh mshr");
-                    actions.push(Action::Send {
-                        to: self.home(word),
-                        msg: Msg::Dnv(DnvMsg::RegReq {
-                            word,
-                            req: self.id,
-                            class: XferClass::SyncRead,
-                        }),
-                    });
-                }
-                IssueResult::Miss
-            }
-            AccessKind::SyncStore { value } => {
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked;
-                }
-                if self.word_state(word) == WState::Registered {
-                    self.word_mut(word).expect("resident").value = value;
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: None };
-                }
-                self.note_miss(req.kind);
-                if self.predicts_sync(word) {
-                    self.mshr
-                        .try_insert(
-                            word,
-                            Pend::new(PendKind::SyncWait {
-                                complete: SyncComplete::Store { value },
-                            }),
-                        )
-                        .expect("fresh mshr");
-                    self.send_sync_op(word, GcsOpKind::Store { value }, actions);
-                } else {
-                    self.mshr
-                        .try_insert(word, Pend::new(PendKind::SyncWrite { value }))
-                        .expect("fresh mshr");
-                    actions.push(Action::Send {
-                        to: self.home(word),
-                        msg: Msg::Dnv(DnvMsg::RegReq {
-                            word,
-                            req: self.id,
-                            class: XferClass::SyncWrite,
-                        }),
-                    });
-                }
-                IssueResult::Miss
-            }
-            AccessKind::SyncRmw(op) => {
-                if self.mshr.contains(&word) {
-                    return IssueResult::Blocked;
-                }
-                if self.word_state(word) == WState::Registered {
-                    let w = self.word_mut(word).expect("resident");
-                    let old = w.value;
-                    w.value = op.apply(old);
-                    self.note_hit(req.kind);
-                    return IssueResult::Hit { value: Some(old) };
-                }
-                self.note_miss(req.kind);
-                if self.predicts_sync(word) {
-                    self.mshr
-                        .try_insert(
-                            word,
-                            Pend::new(PendKind::SyncWait {
-                                complete: SyncComplete::Rmw { op },
-                            }),
-                        )
-                        .expect("fresh mshr");
-                    self.send_sync_op(word, GcsOpKind::Rmw(op), actions);
-                } else {
-                    self.mshr
-                        .try_insert(word, Pend::new(PendKind::Rmw { op }))
-                        .expect("fresh mshr");
-                    actions.push(Action::Send {
-                        to: self.home(word),
-                        msg: Msg::Dnv(DnvMsg::RegReq {
-                            word,
-                            req: self.id,
-                            class: XferClass::SyncWrite,
-                        }),
-                    });
-                }
-                IssueResult::Miss
-            }
-        }
-    }
-
-    /// Handles an incoming data-path (DeNovo) message.
-    pub fn on_msg(&mut self, msg: DnvMsg, actions: &mut Vec<Action>) {
-        match msg {
-            DnvMsg::ReadReq { word, req } => {
-                if let Some(pend) = self.mshr.get_mut(&word) {
-                    if !matches!(pend.kind, PendKind::Write) {
-                        pend.parked_reads.push(req);
-                        return;
-                    }
-                }
-                if self.word_state(word) != WState::Registered {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: forwarded read for unregistered word {word}",
-                        self.id
-                    )));
-                    return;
-                }
-                let line = self
-                    .cache
-                    .get(word.line())
-                    .expect("registered word resident");
-                let idx = word.index_in_line();
-                let value = line.words[idx].value;
-                let mut mask = 0u8;
-                let mut data = [0u64; WORDS_PER_LINE];
-                for (i, w) in line.words.iter().enumerate() {
-                    if i != idx && w.state == WState::Registered {
-                        mask |= 1 << i;
-                        data[i] = w.value;
-                    }
-                }
-                let fill = (mask != 0).then_some((mask, data));
-                actions.push(Action::Send {
-                    to: Endpoint::L1(req),
-                    msg: Msg::Dnv(DnvMsg::ReadResp { word, value, fill }),
-                });
-            }
-            DnvMsg::Xfer {
-                word,
-                new_owner,
-                class,
-            } => {
-                if let Some(pend) = self.mshr.get_mut(&word) {
-                    if matches!(pend.kind, PendKind::SyncWait { .. }) {
-                        // The bank never re-points a classified word.
-                        actions.push(Action::violation(format!(
-                            "GCS L1 {}: transfer for classified word {word}",
-                            self.id
-                        )));
-                        return;
-                    }
-                    if let PendKind::Wb {
-                        value,
-                        nacked: true,
-                    } = pend.kind
-                    {
-                        let reads = std::mem::take(&mut pend.parked_reads);
-                        self.mshr.remove(&word);
-                        self.serve_reads(word, value, &reads, actions);
-                        actions.push(Action::Send {
-                            to: Endpoint::L1(new_owner),
-                            msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                        });
-                        return;
-                    }
-                    if pend.parked_xfer.is_some() || pend.parked_recall {
-                        actions.push(Action::violation(format!(
-                            "GCS L1: second transfer parked on one registration for {word}"
-                        )));
-                        return;
-                    }
-                    pend.parked_xfer = Some((new_owner, class));
-                    return;
-                }
-                let Some(value) = self.downgrade(word, "Xfer", actions) else {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: transfer for unregistered word {word}",
-                        self.id
-                    )));
-                    return;
-                };
-                actions.push(Action::Send {
-                    to: Endpoint::L1(new_owner),
-                    msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                });
-            }
-            DnvMsg::ReadResp { word, value, fill } => {
-                let Some(pend) = self.mshr.remove(&word) else {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: ReadResp without pending read for {word}",
-                        self.id
-                    )));
-                    return;
-                };
-                if !matches!(pend.kind, PendKind::Read) {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: ReadResp for {word} with {:?} pending",
-                        self.id, pend.kind
-                    )));
-                    return;
-                }
-                if self.ensure_line(word.line(), actions) {
-                    let w = self.word_mut(word).expect("line ensured");
-                    if w.state == WState::Invalid {
-                        w.state = WState::Valid;
-                        w.value = value;
-                    }
-                    if let Some((mask, data)) = fill {
-                        self.fill_line(word.line(), mask, &data);
-                    }
-                }
-                actions.push(Action::CoreDone { value: Some(value) });
-            }
-            DnvMsg::RegAck { word, value, .. } => self.on_reg_ack(word, value, actions),
-            DnvMsg::WbAck { word } => {
-                let Some(pend) = self.mshr.remove(&word) else {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: WbAck without writeback for {word}",
-                        self.id
-                    )));
-                    return;
-                };
-                let PendKind::Wb { value, nacked } = pend.kind else {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: WbAck for {word} with {:?} pending",
-                        self.id, pend.kind
-                    )));
-                    return;
-                };
-                if nacked {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: WbAck for {word} after WbNack",
-                        self.id
-                    )));
-                    return;
-                }
-                if pend.parked_xfer.is_some() {
-                    actions.push(Action::violation(format!(
-                        "GCS L1 {}: registry acked a writeback of {word} with a transfer \
-                         outstanding",
-                        self.id
-                    )));
-                    return;
-                }
-                self.serve_reads(word, value, &pend.parked_reads, actions);
-            }
-            DnvMsg::WbNack { word } => {
-                let Some(pend) = self.mshr.get_mut(&word) else {
-                    actions.push(Action::violation(format!(
-                        "GCS L1: WbNack without writeback for {word}"
-                    )));
-                    return;
-                };
-                let PendKind::Wb { value, .. } = pend.kind else {
-                    let kind = pend.kind;
-                    actions.push(Action::violation(format!(
-                        "GCS L1: WbNack for {word} with {kind:?} pending"
-                    )));
-                    return;
-                };
-                if let Some((new_owner, class)) = pend.parked_xfer.take() {
-                    let reads = std::mem::take(&mut pend.parked_reads);
-                    self.mshr.remove(&word);
-                    self.serve_reads(word, value, &reads, actions);
-                    actions.push(Action::Send {
-                        to: Endpoint::L1(new_owner),
-                        msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-                    });
-                } else {
-                    pend.kind = PendKind::Wb {
-                        value,
-                        nacked: true,
-                    };
-                }
-            }
-            other => actions.push(Action::violation(format!(
-                "GCS L1 {} cannot handle {other:?}",
-                self.id
-            ))),
-        }
-    }
-
     /// Handles an incoming dedicated-path (GCS) message.
     pub fn on_gcs(&mut self, msg: GcsMsg, actions: &mut Vec<Action>) {
+        if self.gcs().is_none() {
+            actions.push(Action::violation(format!(
+                "L1 {} cannot handle {msg:?}",
+                self.id
+            )));
+            return;
+        }
         match msg {
             GcsMsg::Classified { word } => self.on_classified(word, actions),
             GcsMsg::SyncResp { word, value } => self.on_sync_resp(word, value, actions),
             GcsMsg::SyncNotify { word, value } => {
                 self.learn(word, "SyncNotify");
-                if self.remote_watch.map(|(w, _)| w) == Some(word) {
-                    self.remote_watch = None;
-                    self.notify_buf = Some((word, value));
+                let g = self.gcs_mut().expect("checked above");
+                if g.remote_watch.map(|(w, _)| w) == Some(word) {
+                    g.remote_watch = None;
+                    g.notify_buf = Some((word, value));
                     actions.push(Action::SpinWake);
                 } else {
                     actions.push(Action::violation(format!(
-                        "GCS L1 {}: SyncNotify for {word} without a remote watch",
+                        "L1 {}: SyncNotify for {word} without a remote watch",
                         self.id
                     )));
                 }
             }
             GcsMsg::Recall { word } => self.on_recall(word, actions),
             other => actions.push(Action::violation(format!(
-                "GCS L1 {} cannot handle {other:?}",
+                "L1 {} cannot handle {other:?}",
                 self.id
             ))),
         }
     }
 
-    /// The bank rejected our optimistic registration: the word is
-    /// sync-classified. Convert the pending access to the dedicated path.
+    /// Hook: the bank rejected our optimistic registration because the word
+    /// is sync-classified. Convert the pending access to the dedicated path.
     fn on_classified(&mut self, word: WordAddr, actions: &mut Vec<Action>) {
         self.learn(word, "Classified");
-        let Some(pend) = self.mshr.get_mut(&word) else {
+        let Some(pend) = self.mshr.get(&word) else {
             actions.push(Action::violation(format!(
-                "GCS L1 {}: Classified without pending registration for {word}",
+                "L1 {}: Classified without pending registration for {word}",
                 self.id
             )));
             return;
         };
-        if pend.parked_xfer.is_some() || pend.parked_recall {
+        if pend.parked_xfer.is_some() || pend.recall_parked() {
             actions.push(Action::violation(format!(
-                "GCS L1 {}: Classified for {word} with a parked transfer or recall",
+                "L1 {}: Classified for {word} with a parked transfer or recall",
                 self.id
             )));
             return;
         }
-        let (complete, op) = match pend.kind {
-            PendKind::SyncRead => (SyncComplete::Load, GcsOpKind::Load),
-            PendKind::SyncWrite { value } => {
-                (SyncComplete::Store { value }, GcsOpKind::Store { value })
-            }
-            PendKind::Rmw { op } => (SyncComplete::Rmw { op }, GcsOpKind::Rmw(op)),
+        let kind = pend.kind;
+        let access = match kind {
+            PendKind::SyncRead => AccessKind::SyncLoad,
+            PendKind::SyncWrite { value } => AccessKind::SyncStore { value },
+            PendKind::Rmw { op } => AccessKind::SyncRmw(op),
             PendKind::Write => {
                 // The optimistic store set the word Registered locally; the
                 // directory owns classified words, so undo and re-execute
@@ -804,21 +262,18 @@ impl GcsL1 {
                     })
                     .expect("write-registered word resident");
                 self.emit_transition(word, "R", "I", "Classified");
-                (
-                    SyncComplete::DataStore { value },
-                    GcsOpKind::Store { value },
-                )
+                AccessKind::DataStore { value }
             }
             other => {
                 actions.push(Action::violation(format!(
-                    "GCS L1 {}: Classified for {word} with {other:?} pending",
+                    "L1 {}: Classified for {word} with {other:?} pending",
                     self.id
                 )));
                 return;
             }
         };
-        let pend = self.mshr.get_mut(&word).expect("checked above");
-        pend.kind = PendKind::SyncWait { complete };
+        let (complete, op) = sync_op_for(access);
+        self.mshr.get_mut(&word).expect("checked above").kind = PendKind::SyncWait { complete };
         self.send_sync_op(word, op, actions);
     }
 
@@ -826,21 +281,21 @@ impl GcsL1 {
     fn on_sync_resp(&mut self, word: WordAddr, value: u64, actions: &mut Vec<Action>) {
         let Some(pend) = self.mshr.remove(&word) else {
             actions.push(Action::violation(format!(
-                "GCS L1 {}: SyncResp without pending sync op for {word}",
+                "L1 {}: SyncResp without pending sync op for {word}",
                 self.id
             )));
             return;
         };
         let PendKind::SyncWait { complete } = pend.kind else {
             actions.push(Action::violation(format!(
-                "GCS L1 {}: SyncResp for {word} with {:?} pending",
+                "L1 {}: SyncResp for {word} with {:?} pending",
                 self.id, pend.kind
             )));
             return;
         };
-        if pend.parked_xfer.is_some() || pend.parked_recall {
+        if pend.parked_xfer.is_some() || pend.recall_parked() {
             actions.push(Action::violation(format!(
-                "GCS L1 {}: SyncResp for {word} with a parked transfer or recall",
+                "L1 {}: SyncResp for {word} with a parked transfer or recall",
                 self.id
             )));
             return;
@@ -885,319 +340,68 @@ impl GcsL1 {
                 | PendKind::SyncWrite { .. }
                 | PendKind::Rmw { .. }
                 | PendKind::Write => {
-                    if pend.parked_recall || pend.parked_xfer.is_some() {
+                    if pend.recall_parked() || pend.parked_xfer.is_some() {
                         actions.push(Action::violation(format!(
-                            "GCS L1 {}: second recall/transfer parked for {word}",
+                            "L1 {}: second recall/transfer parked for {word}",
                             self.id
                         )));
                         return;
                     }
-                    pend.parked_recall = true;
+                    pend.parked_recall = Some(true);
                 }
                 PendKind::Read | PendKind::SyncWait { .. } => {
                     actions.push(Action::violation(format!(
-                        "GCS L1 {}: Recall for {word} with {:?} pending",
+                        "L1 {}: Recall for {word} with {:?} pending",
                         self.id, pend.kind
                     )));
                 }
             }
             return;
         }
-        match self.downgrade(word, "Recall", actions) {
-            Some(value) => actions.push(Action::Send {
-                to: self.home(word),
-                msg: Msg::Gcs(GcsMsg::RecallAck {
-                    word,
-                    from: self.id,
-                    value: Some(value),
-                }),
-            }),
-            // Ownership had already moved on (our writeback raced ahead):
-            // answer empty; the bank ignores stale acks.
-            None => actions.push(Action::Send {
-                to: self.home(word),
-                msg: Msg::Gcs(GcsMsg::RecallAck {
-                    word,
-                    from: self.id,
-                    value: None,
-                }),
-            }),
-        }
+        // `None`: ownership had already moved on (our writeback raced
+        // ahead); the bank ignores such stale acks.
+        let value = self.downgrade(word, None, actions);
+        self.send_recall_ack(word, value, actions);
     }
 
-    /// Our own registration was acknowledged: perform the operation, then
-    /// serve anything that parked behind us.
-    fn on_reg_ack(&mut self, word: WordAddr, ack_value: u64, actions: &mut Vec<Action>) {
-        let Some(pend) = self.mshr.remove(&word) else {
-            actions.push(Action::violation(format!(
-                "GCS L1 {}: RegAck without registration for {word}",
-                self.id
-            )));
-            return;
-        };
-        let cached = self.ensure_line(word.line(), actions);
-        let mut owned_value = ack_value;
-        match pend.kind {
-            PendKind::Write => {
-                owned_value = self
-                    .word_mut(word)
-                    .map(|w| w.value)
-                    .expect("write-registered word resident");
-                actions.push(Action::StoresDone { count: 1 });
-            }
-            PendKind::SyncRead => {
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = ack_value;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                actions.push(Action::CoreDone {
-                    value: Some(ack_value),
-                });
-            }
-            PendKind::SyncWrite { value } => {
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = value;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                owned_value = value;
-                actions.push(Action::CoreDone { value: None });
-            }
-            PendKind::Rmw { op } => {
-                let new = op.apply(ack_value);
-                if cached {
-                    let w = self.word_mut(word).expect("line ensured");
-                    let from = w.state.label();
-                    w.state = WState::Registered;
-                    w.value = new;
-                    self.emit_transition(word, from, "R", "RegAck");
-                }
-                owned_value = new;
-                actions.push(Action::CoreDone {
-                    value: Some(ack_value),
-                });
-            }
-            PendKind::Read | PendKind::Wb { .. } | PendKind::SyncWait { .. } => {
-                actions.push(Action::violation(format!(
-                    "GCS L1 {}: RegAck for {word} with {:?} pending",
-                    self.id, pend.kind
-                )));
-                return;
-            }
-        }
-        self.serve_reads(word, owned_value, &pend.parked_reads, actions);
-        if pend.parked_recall {
-            // The word was classified while our registration was in flight:
-            // the operation completed above, now surrender the value.
-            let value = if cached {
-                self.downgrade(word, "Recall", actions)
-                    .expect("word registered by this ack")
-            } else {
-                owned_value
-            };
-            self.learn(word, "Recall");
-            actions.push(Action::Send {
-                to: self.home(word),
-                msg: Msg::Gcs(GcsMsg::RecallAck {
-                    word,
-                    from: self.id,
-                    value: Some(value),
-                }),
-            });
-            return;
-        }
-        if let Some((new_owner, class)) = pend.parked_xfer {
-            let value = if cached {
-                self.downgrade(word, "Xfer", actions)
-                    .expect("word registered by this ack")
-            } else {
-                owned_value
-            };
-            actions.push(Action::Send {
-                to: Endpoint::L1(new_owner),
-                msg: Msg::Dnv(DnvMsg::RegAck { word, value, class }),
-            });
-        } else if !cached {
-            self.mshr
-                .try_insert(
-                    word,
-                    Pend::new(PendKind::Wb {
-                        value: owned_value,
-                        nacked: false,
-                    }),
-                )
-                .expect("fresh mshr");
-            actions.push(Action::Send {
-                to: self.home(word),
-                msg: Msg::Dnv(DnvMsg::WbReq {
-                    word,
-                    value: owned_value,
-                    from: self.id,
-                }),
-            });
-        }
-    }
-
-    /// Downgrades a Registered word (transfer or recall), returning its
-    /// value. GCS has no backoff: the copy always invalidates.
-    fn downgrade(
+    /// Hook: the registration a recall parked behind has completed with
+    /// `owned_value`; surrender the word to the bank.
+    pub(crate) fn surrender_recalled(
         &mut self,
         word: WordAddr,
-        cause: &'static str,
-        actions: &mut Vec<Action>,
-    ) -> Option<u64> {
-        let w = self
-            .word_mut(word)
-            .filter(|w| w.state == WState::Registered)?;
-        let value = w.value;
-        w.state = WState::Invalid;
-        self.emit_transition(word, "R", "I", cause);
-        if self.watch == Some(word) {
-            actions.push(Action::SpinWake);
-        }
-        Some(value)
-    }
-
-    fn serve_reads(
-        &self,
-        word: WordAddr,
-        value: u64,
-        readers: &[CoreId],
+        cached: bool,
+        owned_value: u64,
         actions: &mut Vec<Action>,
     ) {
-        for &r in readers {
-            actions.push(Action::Send {
-                to: Endpoint::L1(r),
-                msg: Msg::Dnv(DnvMsg::ReadResp {
-                    word,
-                    value,
-                    fill: None,
-                }),
-            });
-        }
+        let value = if cached {
+            self.downgrade(word, None, actions)
+                .expect("word registered by this ack")
+        } else {
+            owned_value
+        };
+        self.learn(word, "Recall");
+        self.send_recall_ack(word, Some(value), actions);
     }
 
-    /// Copies the registry's valid sibling words into Invalid slots.
-    fn fill_line(&mut self, line: LineAddr, mask: u8, data: &[u64; WORDS_PER_LINE]) {
-        let payload = self.cache.get_mut(line).expect("line resident");
-        for (i, (slot, &value)) in payload.words.iter_mut().zip(data).enumerate() {
-            if mask & (1 << i) != 0
-                && slot.state == WState::Invalid
-                && !self.mshr.contains(&line.word(i))
-            {
-                *slot = DnvWord {
-                    state: WState::Valid,
-                    value,
-                };
-            }
-        }
-    }
-
-    /// Makes `line` resident, evicting if necessary. Returns false if no
-    /// way could be freed.
-    fn ensure_line(&mut self, line: LineAddr, actions: &mut Vec<Action>) -> bool {
-        if self.cache.contains(line) {
-            self.cache.touch(line);
-            return true;
-        }
-        let watch_line = self.watch.map(WordAddr::line);
-        let mshr = &self.mshr;
-        let clean = self
-            .cache
-            .insert_filtered(line, DnvLine::empty(), |addr, l| {
-                Some(addr) != watch_line
-                    && !l.has_registered()
-                    && addr.words().all(|w| !mshr.contains(&w))
-            });
-        match clean {
-            InsertOutcome::Inserted | InsertOutcome::Evicted(..) => return true,
-            InsertOutcome::NoVictim(_) => {}
-        }
-        let mshr = &self.mshr;
-        let outcome = self
-            .cache
-            .insert_filtered(line, DnvLine::empty(), |addr, _| {
-                Some(addr) != watch_line && addr.words().all(|w| !mshr.contains(&w))
-            });
-        match outcome {
-            InsertOutcome::Inserted => true,
-            InsertOutcome::Evicted(victim, old) => {
-                for i in 0..WORDS_PER_LINE {
-                    if old.words[i].state == WState::Registered {
-                        let word = victim.word(i);
-                        let value = old.words[i].value;
-                        self.mshr
-                            .try_insert(
-                                word,
-                                Pend::new(PendKind::Wb {
-                                    value,
-                                    nacked: false,
-                                }),
-                            )
-                            .expect("victim words unpinned");
-                        actions.push(Action::Send {
-                            to: self.home(word),
-                            msg: Msg::Dnv(DnvMsg::WbReq {
-                                word,
-                                value,
-                                from: self.id,
-                            }),
-                        });
-                    }
-                }
-                true
-            }
-            InsertOutcome::NoVictim(_) => false,
-        }
-    }
-
-    fn note_hit(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_hits += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_hits += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_hits += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_hits += 1
-            }
-        }
-    }
-
-    fn note_miss(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::DataLoad => self.stats.data_read_misses += 1,
-            AccessKind::DataStore { .. } => self.stats.data_write_misses += 1,
-            AccessKind::SyncLoad => self.stats.sync_read_misses += 1,
-            AccessKind::SyncStore { .. } | AccessKind::SyncRmw(_) => {
-                self.stats.sync_write_misses += 1
-            }
-        }
-    }
-}
-
-/// Canonical hash for model checking: every field that influences future
-/// protocol behaviour. `stats` and `layout` are excluded.
-impl std::hash::Hash for GcsL1 {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-        self.banks.hash(state);
-        self.cache.hash(state);
-        self.mshr.hash(state);
-        self.predictor.hash(state);
-        self.watch.hash(state);
-        self.remote_watch.hash(state);
-        self.notify_buf.hash(state);
+    fn send_recall_ack(&self, word: WordAddr, value: Option<u64>, actions: &mut Vec<Action>) {
+        actions.push(Action::Send {
+            to: self.home(word),
+            msg: Msg::Gcs(GcsMsg::RecallAck {
+                word,
+                from: self.id,
+                value,
+            }),
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{DnvMsg, XferClass};
+    use crate::proto::IssueResult;
     use dvs_mem::{Addr, LayoutBuilder};
+    use dvs_vm::MemRequest;
 
     fn layout() -> Arc<MemoryLayout> {
         let mut b = LayoutBuilder::new();
@@ -1206,8 +410,8 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn l1() -> GcsL1 {
-        GcsL1::new(0, CacheGeometry::new(1024, 2), 4, layout())
+    fn l1() -> DnvL1 {
+        DnvL1::new_gcs(0, CacheGeometry::new(1024, 2), 4, layout())
     }
 
     fn req(addr: u64, kind: AccessKind) -> MemRequest {
@@ -1228,7 +432,7 @@ mod tests {
         let mut l1 = l1();
         let mut acts = Vec::new();
         assert_eq!(
-            l1.core_request(&req(0x100, AccessKind::SyncLoad), &mut acts),
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
             IssueResult::Miss
         );
         assert!(matches!(
@@ -1260,6 +464,7 @@ mod tests {
         let mut acts = Vec::new();
         l1.core_request(
             &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
+            false,
             &mut acts,
         );
         acts.clear();
@@ -1292,7 +497,7 @@ mod tests {
     fn predicted_sync_access_skips_registration() {
         let mut l1 = l1();
         let mut acts = Vec::new();
-        l1.core_request(&req(0x100, AccessKind::SyncLoad), &mut acts);
+        l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         acts.clear();
         l1.on_gcs(GcsMsg::Classified { word: word(0x100) }, &mut acts);
         l1.on_gcs(
@@ -1305,7 +510,11 @@ mod tests {
         acts.clear();
         // Second access goes straight down the dedicated path.
         assert_eq!(
-            l1.core_request(&req(0x100, AccessKind::SyncStore { value: 9 }), &mut acts),
+            l1.core_request(
+                &req(0x100, AccessKind::SyncStore { value: 9 }),
+                false,
+                &mut acts
+            ),
             IssueResult::Miss
         );
         assert!(matches!(
@@ -1325,7 +534,11 @@ mod tests {
         let mut l1 = l1();
         let mut acts = Vec::new();
         assert_eq!(
-            l1.core_request(&req(0x100, AccessKind::DataStore { value: 5 }), &mut acts),
+            l1.core_request(
+                &req(0x100, AccessKind::DataStore { value: 5 }),
+                false,
+                &mut acts
+            ),
             IssueResult::StoreAccepted { completed: false }
         );
         assert_eq!(l1.word_state(word(0x100)), WState::Registered);
@@ -1357,7 +570,7 @@ mod tests {
     fn recall_of_settled_word_returns_value_and_wakes_spinner() {
         let mut l1 = l1();
         let mut acts = Vec::new();
-        l1.core_request(&req(0x100, AccessKind::SyncLoad), &mut acts);
+        l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts);
         l1.on_msg(
             DnvMsg::RegAck {
                 word: word(0x100),
@@ -1387,6 +600,7 @@ mod tests {
         let mut acts = Vec::new();
         l1.core_request(
             &req(0x100, AccessKind::SyncRmw(RmwOp::Fai { delta: 1 })),
+            false,
             &mut acts,
         );
         acts.clear();
@@ -1441,13 +655,13 @@ mod tests {
         assert!(l1.remote_watch_word().is_none());
         acts.clear();
         assert_eq!(
-            l1.core_request(&req(0x100, AccessKind::SyncLoad), &mut acts),
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
             IssueResult::Hit { value: Some(42) }
         );
         assert!(acts.is_empty(), "notify hit must not touch the network");
         // Consumed: the next spin load goes remote again.
         assert_eq!(
-            l1.core_request(&req(0x100, AccessKind::SyncLoad), &mut acts),
+            l1.core_request(&req(0x100, AccessKind::SyncLoad), false, &mut acts),
             IssueResult::Miss
         );
     }
@@ -1457,7 +671,11 @@ mod tests {
         let mut l1 = l1();
         let mut acts = Vec::new();
         for (a, v) in [(0x200u64, 1u64), (0x400, 2)] {
-            l1.core_request(&req(a, AccessKind::DataStore { value: v }), &mut acts);
+            l1.core_request(
+                &req(a, AccessKind::DataStore { value: v }),
+                false,
+                &mut acts,
+            );
             l1.on_msg(
                 DnvMsg::RegAck {
                     word: word(a),
@@ -1468,7 +686,11 @@ mod tests {
             );
         }
         acts.clear();
-        l1.core_request(&req(0x600, AccessKind::DataStore { value: 3 }), &mut acts);
+        l1.core_request(
+            &req(0x600, AccessKind::DataStore { value: 3 }),
+            false,
+            &mut acts,
+        );
         acts.clear();
         // The recall crosses our in-flight WbReq: the bank will accept the
         // writeback as the recall return, so the L1 stays silent.

@@ -544,6 +544,12 @@ pub enum Msg {
     },
 }
 
+impl From<DnvMsg> for Msg {
+    fn from(m: DnvMsg) -> Self {
+        Msg::Dnv(m)
+    }
+}
+
 impl Msg {
     /// Total wire size in bytes.
     pub fn wire_bytes(&self) -> u64 {

@@ -26,8 +26,8 @@
 
 use crate::chaos::FaultInjector;
 use crate::config::{DataInvalidation, Protocol, SystemConfig};
+use crate::denovo::registry::RegWord;
 use crate::denovo::{DnvL1, DnvRegistry};
-use crate::gcs::{GcsBank, GcsL1};
 use crate::mesi::{MesiDir, MesiL1};
 use crate::msg::{CoreId, Endpoint, Msg};
 use crate::oracle::{ChannelKey, OracleState};
@@ -165,15 +165,15 @@ impl std::error::Error for SimError {}
 #[derive(Debug, Clone)]
 pub(crate) enum L1 {
     Mesi(MesiL1),
+    /// DeNovoSync0, DeNovoSync and GCS (the DeNovo L1 with GCS's sync tier).
     Dnv(DnvL1),
-    Gcs(GcsL1),
 }
 
 #[derive(Debug, Clone)]
 pub(crate) enum Bank {
     Mesi(MesiDir),
+    /// DeNovoSync0, DeNovoSync and GCS (the registry with GCS's sync tier).
     Dnv(DnvRegistry),
-    Gcs(GcsBank),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,7 +416,7 @@ impl System {
                     true,
                     Arc::clone(&layout),
                 )),
-                Protocol::Gcs => L1::Gcs(GcsL1::new(i, cfg.l1, n, Arc::clone(&layout))),
+                Protocol::Gcs => L1::Dnv(DnvL1::new_gcs(i, cfg.l1, n, Arc::clone(&layout))),
             })
             .collect();
         let mut banks: Vec<Bank> = (0..n)
@@ -430,13 +430,12 @@ impl System {
                         d.configure_span(&layout, n);
                         d
                     }),
-                    Protocol::Gcs => Bank::Gcs({
-                        let mut g = GcsBank::new(b, mem);
-                        g.configure_span(&layout, n);
-                        g
-                    }),
                     _ => Bank::Dnv({
-                        let mut r = DnvRegistry::new(b, mem);
+                        let mut r = if cfg.protocol == Protocol::Gcs {
+                            DnvRegistry::new_gcs(b, mem)
+                        } else {
+                            DnvRegistry::new(b, mem)
+                        };
                         r.configure_span(&layout, n);
                         r
                     }),
@@ -452,7 +451,6 @@ impl System {
             for bank in &mut banks {
                 match bank {
                     Bank::Dnv(r) => r.set_mutation(Some(m)),
-                    Bank::Gcs(g) => g.set_mutation(Some(m)),
                     Bank::Mesi(_) => {}
                 }
             }
@@ -569,14 +567,12 @@ impl System {
             match l1 {
                 L1::Mesi(l) => l.set_telemetry(tel.clone()),
                 L1::Dnv(l) => l.set_telemetry(tel.clone()),
-                L1::Gcs(l) => l.set_telemetry(tel.clone()),
             }
         }
         for bank in &mut self.banks {
             match bank {
                 Bank::Mesi(d) => d.set_telemetry(tel.clone()),
                 Bank::Dnv(r) => r.set_telemetry(tel.clone()),
-                Bank::Gcs(g) => g.set_telemetry(tel.clone()),
             }
         }
         self.tel = tel;
@@ -601,17 +597,18 @@ impl System {
             let (stats, high_water) = match l1 {
                 L1::Mesi(l) => (l.stats(), l.mshr_high_water()),
                 L1::Dnv(l) => (l.stats(), l.mshr_high_water()),
-                L1::Gcs(l) => (l.stats(), l.mshr_high_water()),
             };
             reg.add(&node, "l1", "hits", stats.hits());
             reg.add(&node, "l1", "misses", stats.misses());
             reg.add(&node, "mshr", "high_water", high_water as u64);
         }
         for (b, bank) in self.banks.iter().enumerate() {
-            if let Bank::Gcs(g) = bank {
-                let node = format!("bank{b}");
-                reg.add(&node, "gcs", "notifies", g.notifies());
-                reg.add(&node, "gcs", "recalls", g.recalls());
+            if let Bank::Dnv(r) = bank {
+                if r.has_sync_tier() {
+                    let node = format!("bank{b}");
+                    reg.add(&node, "gcs", "notifies", r.notifies());
+                    reg.add(&node, "gcs", "recalls", r.recalls());
+                }
             }
         }
         reg.add("sys", "sched", "deliveries", self.deliveries);
@@ -735,7 +732,6 @@ impl System {
             cache += match l1 {
                 L1::Mesi(l) => l.stats(),
                 L1::Dnv(l) => l.stats(),
-                L1::Gcs(l) => l.stats(),
             };
         }
         RunStats {
@@ -766,76 +762,37 @@ impl System {
     pub fn verify_coherence(&self) -> Result<(), String> {
         match self.cfg.protocol {
             Protocol::Mesi => self.verify_mesi(),
-            Protocol::Gcs => self.verify_gcs(),
             _ => self.verify_denovo(),
         }
     }
 
+    /// Core `c`'s L1 on a DeNovo-family machine (DS0, DS, GCS).
+    fn dnv_l1(&self, c: CoreId) -> &DnvL1 {
+        match &self.l1s[c] {
+            L1::Dnv(l1) => l1,
+            L1::Mesi(_) => unreachable!("protocol mismatch"),
+        }
+    }
+
+    /// Bank `b`'s registry on a DeNovo-family machine (DS0, DS, GCS).
+    fn registry(&self, b: usize) -> &DnvRegistry {
+        match &self.banks[b] {
+            Bank::Dnv(reg) => reg,
+            Bank::Mesi(_) => unreachable!("protocol mismatch"),
+        }
+    }
+
+    /// DeNovo quiescent invariants, plus GCS's sync-tier rules: a
+    /// classified word is Valid at its home bank with **no silent sharer**
+    /// (no L1 holds it Registered), and the whole sync tier is idle — no
+    /// recall in flight, no parked requests, no waiter bits, no armed
+    /// remote watches.
     fn verify_denovo(&self) -> Result<(), String> {
         // Gather every L1's registered words.
         let mut holders: std::collections::HashMap<WordAddr, CoreId> =
             std::collections::HashMap::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Dnv(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.outstanding_txns() != 0 {
-                return Err(format!(
-                    "core {c}: {} MSHR entries at quiescence",
-                    l1.outstanding_txns()
-                ));
-            }
-            for w in l1.registered_words() {
-                if let Some(prev) = holders.insert(w, c) {
-                    return Err(format!(
-                        "word {w} registered at both core {prev} and core {c}"
-                    ));
-                }
-            }
-        }
-        // Registry pointers must agree with the holders, in both directions.
-        let mut pointed = 0usize;
-        for bank in &self.banks {
-            let Bank::Dnv(reg) = bank else {
-                unreachable!("protocol mismatch")
-            };
-            if reg.any_fetching() {
-                return Err("registry line still fetching at quiescence".into());
-            }
-            for (w, c) in reg.registrations() {
-                pointed += 1;
-                match holders.get(&w) {
-                    Some(&h) if h == c => {}
-                    Some(&h) => {
-                        return Err(format!(
-                            "registry points {w} at core {c}, but core {h} holds it"
-                        ))
-                    }
-                    None => return Err(format!("registry points {w} at core {c}, which lacks it")),
-                }
-            }
-        }
-        if pointed != holders.len() {
-            return Err(format!(
-                "{} words registered in L1s but only {pointed} registry pointers",
-                holders.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// GCS quiescent invariants: the DeNovo data-path rules for unclassified
-    /// words, plus the sync-path rules — a classified word is Valid at its
-    /// home bank with **no silent sharer** (no L1 holds it Registered), and
-    /// the whole sync tier is idle: no recall in flight, no parked
-    /// requests, no waiter bits, no armed remote watches.
-    fn verify_gcs(&self) -> Result<(), String> {
-        let mut holders: std::collections::HashMap<WordAddr, CoreId> =
-            std::collections::HashMap::new();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Gcs(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
+        for c in 0..self.l1s.len() {
+            let l1 = self.dnv_l1(c);
             if l1.outstanding_txns() != 0 {
                 return Err(format!(
                     "core {c}: {} MSHR entries at quiescence",
@@ -853,33 +810,34 @@ impl System {
                 }
             }
         }
+        // Registry pointers must agree with the holders, in both directions.
         let mut pointed = 0usize;
-        for (b, bank) in self.banks.iter().enumerate() {
-            let Bank::Gcs(bank) = bank else {
-                unreachable!("protocol mismatch")
-            };
-            if bank.any_fetching() {
-                return Err(format!("bank {b}: line still fetching at quiescence"));
+        for b in 0..self.banks.len() {
+            let reg = self.registry(b);
+            if reg.any_fetching() {
+                return Err(format!(
+                    "bank {b}: registry line still fetching at quiescence"
+                ));
             }
-            if bank.sync_busy() {
+            if reg.sync_busy() {
                 return Err(format!(
                     "bank {b}: sync entry mid-recall or holding parked requests at quiescence"
                 ));
             }
-            if bank.waiter_count() != 0 {
+            if reg.waiter_count() != 0 {
                 return Err(format!(
                     "bank {b}: {} waiter bits set at quiescence",
-                    bank.waiter_count()
+                    reg.waiter_count()
                 ));
             }
-            for w in bank.classified_words() {
+            for w in reg.classified_words() {
                 if let Some(&c) = holders.get(&w) {
                     return Err(format!(
                         "classified word {w} has a silent sharer: core {c} holds it Registered"
                     ));
                 }
-                match bank.word(w) {
-                    Some(crate::denovo::registry::RegWord::Valid(_)) => {}
+                match reg.word(w) {
+                    Some(RegWord::Valid(_)) => {}
                     other => {
                         return Err(format!(
                             "classified word {w} is {other:?} at bank {b}, not Valid"
@@ -887,7 +845,7 @@ impl System {
                     }
                 }
             }
-            for (w, c) in bank.registrations() {
+            for (w, c) in reg.registrations() {
                 pointed += 1;
                 match holders.get(&w) {
                     Some(&h) if h == c => {}
@@ -1009,12 +967,6 @@ impl System {
     fn check_line_invariants(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
         match self.cfg.protocol {
             Protocol::Mesi => self.check_mesi_line(line),
-            Protocol::Gcs => {
-                for word in line.words() {
-                    self.check_gcs_word(word)?;
-                }
-                Ok(())
-            }
             _ => {
                 for word in line.words() {
                     self.check_denovo_word(word)?;
@@ -1029,14 +981,12 @@ impl System {
     /// the word registered or has an MSHR transaction on it (the pointer is
     /// re-pointed eagerly, so the target may still be mid-registration);
     /// (3) a registry `Valid` word has no settled registrant at all.
+    /// Words GCS has classified obey the sync-tier rules instead
+    /// ([`System::check_sync_word`]).
     fn check_denovo_word(&self, word: WordAddr) -> Result<(), String> {
-        use crate::denovo::registry::RegWord;
         let mut settled: Option<CoreId> = None;
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Dnv(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.word_registered(word) {
+        for c in 0..self.l1s.len() {
+            if self.dnv_l1(c).word_registered(word) {
                 if let Some(prev) = settled {
                     return Err(format!(
                         "word {word}: settled registrants at both core {prev} and core {c}"
@@ -1046,14 +996,13 @@ impl System {
             }
         }
         let bank = self.home_bank(word.line());
-        let Bank::Dnv(reg) = &self.banks[bank] else {
-            unreachable!("protocol mismatch")
-        };
+        let reg = self.registry(bank);
+        if reg.classified(word) {
+            return self.check_sync_word(bank, word, settled);
+        }
         match reg.word(word) {
             Some(RegWord::Registered(c)) => {
-                let L1::Dnv(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
+                let l1 = self.dnv_l1(c);
                 if !l1.word_registered(word) && !l1.has_pending(word) {
                     return Err(format!(
                         "bank {bank}: registry points {word} at core {c}, which neither holds \
@@ -1074,88 +1023,43 @@ impl System {
         Ok(())
     }
 
-    /// GCS, per word. Unclassified words obey the DeNovo rules (at most one
-    /// settled registrant; pointer targets hold or are mid-transaction; a
-    /// `Valid` registry word has no settled registrant). Classified words
-    /// obey the sync-path rules: once the recall handshake settles, the word
-    /// is **Valid at its home bank with no silent sharer** (no settled
+    /// GCS, per classified word: once the recall handshake settles, the
+    /// word is **Valid at its home bank with no silent sharer** (no settled
     /// L1 registrant anywhere), and every set waiter bit targets a core
     /// whose L1 has a remote watch armed on exactly that word — so a
     /// notify's fan-out always matches the true waiter set.
-    fn check_gcs_word(&self, word: WordAddr) -> Result<(), String> {
-        use crate::denovo::registry::RegWord;
-        let mut settled: Option<CoreId> = None;
-        for (c, l1) in self.l1s.iter().enumerate() {
-            let L1::Gcs(l1) = l1 else {
-                unreachable!("protocol mismatch")
-            };
-            if l1.word_registered(word) {
-                if let Some(prev) = settled {
+    fn check_sync_word(
+        &self,
+        bank: usize,
+        word: WordAddr,
+        settled: Option<CoreId>,
+    ) -> Result<(), String> {
+        let reg = self.registry(bank);
+        // Mid-recall the previous registrant may legitimately still hold
+        // the word; only the waiter-set direction is checkable.
+        if !reg.recalling(word) {
+            if let Some(c) = settled {
+                return Err(format!(
+                    "bank {bank}: classified word {word} has a silent sharer at core {c}"
+                ));
+            }
+            match reg.word(word) {
+                Some(RegWord::Valid(_)) => {}
+                other => {
                     return Err(format!(
-                        "word {word}: settled registrants at both core {prev} and core {c}"
-                    ));
+                        "bank {bank}: classified word {word} is {other:?}, not Valid"
+                    ))
                 }
-                settled = Some(c);
             }
         }
-        let bank = self.home_bank(word.line());
-        let Bank::Gcs(gcs) = &self.banks[bank] else {
-            unreachable!("protocol mismatch")
-        };
-        if gcs.classified(word) {
-            if gcs.recalling(word) {
-                // Mid-recall: the previous registrant may legitimately still
-                // hold the word; only the waiter-set direction is checkable.
-            } else {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: classified word {word} has a silent sharer at core {c}"
-                    ));
-                }
-                match gcs.word(word) {
-                    Some(RegWord::Valid(_)) => {}
-                    other => {
-                        return Err(format!(
-                            "bank {bank}: classified word {word} is {other:?}, not Valid"
-                        ))
-                    }
-                }
+        for c in reg.waiters_of(word) {
+            let watching = self.dnv_l1(c).remote_watch_word();
+            if watching != Some(word) {
+                return Err(format!(
+                    "bank {bank}: waiter bit for core {c} on {word}, but that core is \
+                     remote-watching {watching:?}"
+                ));
             }
-            for c in gcs.waiters_of(word) {
-                let L1::Gcs(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
-                if l1.remote_watch_word() != Some(word) {
-                    return Err(format!(
-                        "bank {bank}: waiter bit for core {c} on {word}, but that core is \
-                         remote-watching {:?}",
-                        l1.remote_watch_word()
-                    ));
-                }
-            }
-            return Ok(());
-        }
-        match gcs.word(word) {
-            Some(RegWord::Registered(c)) => {
-                let L1::Gcs(l1) = &self.l1s[c] else {
-                    unreachable!("protocol mismatch")
-                };
-                if !l1.word_registered(word) && !l1.has_pending(word) {
-                    return Err(format!(
-                        "bank {bank}: registry points {word} at core {c}, which neither holds \
-                         it nor has a transaction on it"
-                    ));
-                }
-            }
-            Some(RegWord::Valid(_)) => {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: registry holds {word} Valid while core {c} has it \
-                         settled-Registered"
-                    ));
-                }
-            }
-            None => {}
         }
         Ok(())
     }
@@ -1257,19 +1161,14 @@ impl System {
                     lines.extend(l1.registered_words().map(|w| w.line()));
                     lines.extend(l1.pending_summaries().iter().map(|(w, _)| w.line()));
                 }
-                L1::Gcs(l1) => {
-                    lines.extend(l1.registered_words().map(|w| w.line()));
-                    lines.extend(l1.pending_summaries().iter().map(|(w, _)| w.line()));
-                }
             }
         }
         for bank in &self.banks {
             match bank {
                 Bank::Mesi(dir) => lines.extend(dir.entries().map(|(l, _, _)| l)),
-                Bank::Dnv(reg) => lines.extend(reg.registrations().map(|(w, _)| w.line())),
-                Bank::Gcs(g) => {
-                    lines.extend(g.registrations().map(|(w, _)| w.line()));
-                    lines.extend(g.classified_words().map(|w| w.line()));
+                Bank::Dnv(reg) => {
+                    lines.extend(reg.registrations().map(|(w, _)| w.line()));
+                    lines.extend(reg.classified_words().map(|w| w.line()));
                 }
             }
         }
@@ -1313,45 +1212,18 @@ impl System {
                 L1::Dnv(l1) => {
                     for (word, state) in l1.pending_summaries() {
                         let line = word.line();
-                        let Bank::Dnv(reg) = &self.banks[self.home_bank(line)] else {
-                            unreachable!("protocol mismatch")
-                        };
-                        // A parked transfer anywhere on this word keeps the
-                        // distributed registration queue moving.
-                        let parked = self.l1s.iter().any(|o| {
-                            let L1::Dnv(o) = o else {
-                                unreachable!("protocol mismatch")
-                            };
-                            o.has_parked_xfer(word)
+                        let reg = self.registry(self.home_bank(line));
+                        // A parked transfer (or GCS recall) anywhere on this
+                        // word keeps the distributed registration queue
+                        // moving once the local transaction completes.
+                        let parked = (0..self.l1s.len()).any(|o| {
+                            let o = self.dnv_l1(o);
+                            o.has_parked_xfer(word) || o.has_parked_recall(word)
                         });
                         if !live_lines.contains(&line) && !reg.line_busy(line) && !parked {
                             return Err(format!(
                                 "conservation: core {c} transaction on {word} ({state}) has \
                                  no in-flight message, idle registry line, and no parked \
-                                 transfer"
-                            ));
-                        }
-                    }
-                }
-                L1::Gcs(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        let line = word.line();
-                        let Bank::Gcs(bank) = &self.banks[self.home_bank(line)] else {
-                            unreachable!("protocol mismatch")
-                        };
-                        // A parked transfer or parked recall on this word
-                        // keeps the handshake moving once the local
-                        // transaction completes.
-                        let parked = self.l1s.iter().any(|o| {
-                            let L1::Gcs(o) = o else {
-                                unreachable!("protocol mismatch")
-                            };
-                            o.has_parked_xfer(word) || o.has_parked_recall(word)
-                        });
-                        if !live_lines.contains(&line) && !bank.line_busy(line) && !parked {
-                            return Err(format!(
-                                "conservation: core {c} transaction on {word} ({state}) has \
-                                 no in-flight message, an idle bank line, and no parked \
                                  transfer or recall"
                             ));
                         }
@@ -1430,12 +1302,6 @@ impl System {
                         addrs.insert(word.line());
                         report.l1_pending.push(format!("core {c}: {word} {state}"));
                     }
-                }
-                L1::Gcs(l1) => {
-                    for (word, state) in l1.pending_summaries() {
-                        addrs.insert(word.line());
-                        report.l1_pending.push(format!("core {c}: {word} {state}"));
-                    }
                     if let Some(word) = l1.remote_watch_word() {
                         addrs.insert(word.line());
                     }
@@ -1448,13 +1314,6 @@ impl System {
                 Bank::Dnv(reg) => {
                     for word in line.words() {
                         if let Some(desc) = reg.describe_word(word) {
-                            report.l2_state.push(desc);
-                        }
-                    }
-                }
-                Bank::Gcs(g) => {
-                    for word in line.words() {
-                        if let Some(desc) = g.describe_word(word) {
                             report.l2_state.push(desc);
                         }
                     }
@@ -1494,25 +1353,11 @@ impl System {
         let bank = (word.line().raw() % self.banks.len() as u64) as usize;
         match &self.banks[bank] {
             Bank::Dnv(reg) => match reg.word(word) {
-                Some(crate::denovo::registry::RegWord::Valid(v)) => v,
-                Some(crate::denovo::registry::RegWord::Registered(c)) => {
-                    let L1::Dnv(l1) = &self.l1s[c] else {
-                        unreachable!("protocol mismatch")
-                    };
-                    l1.peek_registered(word)
-                        .expect("registry points at a core that holds the word")
-                }
-                None => self.memory.read_word(word),
-            },
-            Bank::Gcs(g) => match g.word(word) {
-                Some(crate::denovo::registry::RegWord::Valid(v)) => v,
-                Some(crate::denovo::registry::RegWord::Registered(c)) => {
-                    let L1::Gcs(l1) = &self.l1s[c] else {
-                        unreachable!("protocol mismatch")
-                    };
-                    l1.peek_registered(word)
-                        .expect("registry points at a core that holds the word")
-                }
+                Some(RegWord::Valid(v)) => v,
+                Some(RegWord::Registered(c)) => self
+                    .dnv_l1(c)
+                    .peek_registered(word)
+                    .expect("registry points at a core that holds the word"),
                 None => self.memory.read_word(word),
             },
             Bank::Mesi(dir) => {
@@ -1542,8 +1387,7 @@ impl System {
                 match (&mut self.l1s[i], msg) {
                     (L1::Mesi(l1), Msg::Mesi(m)) => l1.on_msg(m, &mut actions),
                     (L1::Dnv(l1), Msg::Dnv(m)) => l1.on_msg(m, &mut actions),
-                    (L1::Gcs(l1), Msg::Dnv(m)) => l1.on_msg(m, &mut actions),
-                    (L1::Gcs(l1), Msg::Gcs(m)) => l1.on_gcs(m, &mut actions),
+                    (L1::Dnv(l1), Msg::Gcs(m)) => l1.on_gcs(m, &mut actions),
                     (_, other) => {
                         self.violation(format!("L1 {i} got a foreign message {other:?}"));
                         return;
@@ -1555,17 +1399,13 @@ impl System {
                 let mut actions = self.take_actions();
                 match (&mut self.banks[b], msg) {
                     (Bank::Mesi(d), Msg::Mesi(m)) => d.on_msg(m, &mut actions),
-                    (Bank::Dnv(r), Msg::Dnv(m)) => r.on_msg(m, &mut actions),
+                    (Bank::Dnv(r), m @ (Msg::Dnv(_) | Msg::Gcs(_))) => r.on_msg(m, &mut actions),
                     (Bank::Mesi(d), Msg::MemData { line, data, .. }) => {
                         d.on_mem_data(line, data, &mut actions)
                     }
                     (Bank::Dnv(r), Msg::MemData { line, data, .. }) => {
                         r.on_mem_data(line, data, &mut actions)
                     }
-                    (Bank::Gcs(g), Msg::MemData { line, data, .. }) => {
-                        g.on_mem_data(line, data, &mut actions)
-                    }
-                    (Bank::Gcs(g), m @ (Msg::Dnv(_) | Msg::Gcs(_))) => g.on_msg(m, &mut actions),
                     (_, other) => {
                         self.violation(format!("bank {b} got a foreign message {other:?}"));
                         return;
@@ -1843,20 +1683,19 @@ impl System {
                     local += 1;
                     // MESI: self-invalidation instructions are no-ops.
                     match &mut self.l1s[i] {
-                        L1::Dnv(l1) => match self.cfg.data_inv {
-                            DataInvalidation::StaticRegions => l1.self_invalidate(region),
-                            DataInvalidation::Signatures => {
-                                // Invalidate every word published since this
-                                // core's previous acquire-side invalidation.
-                                let cursor = self.cores[i].sig_cursor;
-                                l1.self_invalidate_words(&self.sig_log[cursor..]);
-                                self.cores[i].sig_cursor = self.sig_log.len();
-                            }
-                        },
-                        // GCS data follows the DeNovo acquire discipline;
-                        // the signature log is a DeNovo-only mechanism, so
-                        // GCS always invalidates by static region.
-                        L1::Gcs(l1) => l1.self_invalidate(region),
+                        // The signature log is a DeNovoSync mechanism; GCS
+                        // data always self-invalidates by static region.
+                        L1::Dnv(l1)
+                            if self.cfg.data_inv == DataInvalidation::Signatures
+                                && self.cfg.protocol.is_denovo() =>
+                        {
+                            // Invalidate every word published since this
+                            // core's previous acquire-side invalidation.
+                            let cursor = self.cores[i].sig_cursor;
+                            l1.self_invalidate_words(&self.sig_log[cursor..]);
+                            self.cores[i].sig_cursor = self.sig_log.len();
+                        }
+                        L1::Dnv(l1) => l1.self_invalidate(region),
                         L1::Mesi(_) => {}
                     }
                 }
@@ -1978,7 +1817,6 @@ impl System {
         let res = match &mut self.l1s[i] {
             L1::Mesi(l1) => l1.core_request(&req, &mut actions),
             L1::Dnv(l1) => l1.core_request(&req, after_backoff, &mut actions),
-            L1::Gcs(l1) => l1.core_request(&req, &mut actions),
         };
         self.apply_actions(Endpoint::L1(i), 0, actions);
         self.record_access(i, &req, &res);
@@ -2084,7 +1922,6 @@ impl System {
         match &self.l1s[i] {
             L1::Mesi(l1) => l1.word_readable(word),
             L1::Dnv(l1) => l1.word_registered(word),
-            L1::Gcs(l1) => l1.word_registered(word),
         }
     }
 
@@ -2097,7 +1934,6 @@ impl System {
             match &mut self.l1s[i] {
                 L1::Mesi(l1) => l1.set_watch(word),
                 L1::Dnv(l1) => l1.set_watch(word),
-                L1::Gcs(l1) => l1.set_watch(word),
             }
             let now = self.sched.now();
             self.stalls.begin(i, StallClass::Spin, now);
@@ -2107,9 +1943,9 @@ impl System {
         // GCS: a spin on a classified word parks in the home bank's waiter
         // set instead of polling — the directory wakes this core with a
         // targeted SyncNotify carrying the new value.
-        if matches!(&self.l1s[i], L1::Gcs(l1) if l1.predicts_sync(word)) {
+        if matches!(&self.l1s[i], L1::Dnv(l1) if l1.predicts_sync(word)) {
             let mut actions = self.take_actions();
-            let L1::Gcs(l1) = &mut self.l1s[i] else {
+            let L1::Dnv(l1) = &mut self.l1s[i] else {
                 unreachable!("matched above")
             };
             l1.start_remote_watch(word, seen, &mut actions);
@@ -2179,7 +2015,6 @@ impl System {
         match &mut self.l1s[i] {
             L1::Mesi(l1) => l1.clear_watch(),
             L1::Dnv(l1) => l1.clear_watch(),
-            L1::Gcs(l1) => l1.clear_watch(),
         }
         let status = std::mem::replace(&mut self.cores[i].status, Status::Ready);
         let Status::Watching { req, since } = status else {
@@ -2421,14 +2256,12 @@ impl System {
             match l1 {
                 L1::Mesi(l) => l.hash(&mut h),
                 L1::Dnv(l) => l.hash(&mut h),
-                L1::Gcs(l) => l.hash(&mut h),
             }
         }
         for bank in &self.banks {
             match bank {
                 Bank::Mesi(d) => d.hash(&mut h),
                 Bank::Dnv(r) => r.hash(&mut h),
-                Bank::Gcs(g) => g.hash(&mut h),
             }
         }
         self.memory.hash(&mut h);
@@ -2864,7 +2697,7 @@ mod tests {
         // Contended sync RMWs must have classified the counter and moved it
         // onto the bank-side update path.
         let word = counter.word();
-        let Bank::Gcs(bank) = &sys.banks[(word.line().raw() % 4) as usize] else {
+        let Bank::Dnv(bank) = &sys.banks[(word.line().raw() % 4) as usize] else {
             unreachable!()
         };
         assert!(bank.classified(word), "contended RMW target classifies");
@@ -2922,7 +2755,7 @@ mod tests {
             .banks
             .iter()
             .map(|b| match b {
-                Bank::Gcs(g) => g.notifies(),
+                Bank::Dnv(g) => g.notifies(),
                 _ => unreachable!(),
             })
             .sum();
@@ -3018,7 +2851,7 @@ mod tests {
         let word = flag.word();
         let seen = sys.read_word(flag);
         let bank = (word.line().raw() % sys.banks.len() as u64) as usize;
-        let Bank::Gcs(g) = &mut sys.banks[bank] else {
+        let Bank::Dnv(g) = &mut sys.banks[bank] else {
             unreachable!()
         };
         assert!(g.classified(word), "contended RMW target classifies");

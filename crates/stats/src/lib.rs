@@ -14,6 +14,7 @@
 //! [`report`] module renders the paper-style normalized stacked-bar tables
 //! printed by the benchmark harnesses.
 
+pub mod hash;
 pub mod report;
 
 use std::fmt;

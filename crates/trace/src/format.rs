@@ -32,6 +32,7 @@
 
 use dvs_core::replay::TraceOp;
 use dvs_mem::{AccessKind, Addr, MemoryLayout, Region, RmwOp, Segment, WordAddr};
+use dvs_stats::hash::{fnv1a_bytes, FNV_OFFSET};
 use dvs_vm::isa::Cond;
 use dvs_vm::{MemRequest, SpinCond};
 use std::fmt::Write as _;
@@ -40,16 +41,8 @@ use std::sync::Arc;
 /// Format version emitted and accepted by this build.
 pub const DVST_VERSION: u32 = 1;
 
-/// FNV-1a offset basis (matches `dvs_campaign::FNV_OFFSET`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn fnv1a_u64(h: u64, v: u64) -> u64 {
+    fnv1a_bytes(h, &v.to_le_bytes())
 }
 
 /// A sealed, replayable trace: layout, preloaded image, per-core op

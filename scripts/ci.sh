@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="fmt lint tier1 chaos check check-scale campaign gcs step telemetry fuzz serve trace"
+STAGES="fmt lint tier1 digests chaos check check-scale campaign gcs step telemetry fuzz serve trace"
 
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -40,10 +40,37 @@ stage_lint() {
 }
 
 stage_tier1() {
-  echo "== tier-1: release build + full test suite =="
+  echo "== tier-1: release build + full test suite (whole workspace via default-members) =="
+  # The root Cargo.toml's default-members make these plain commands cover
+  # every crate: all four CLIs, and every crate's unit and integration
+  # tests, not just the root suite package.
   cargo build --release --offline
   cargo build --release --offline --examples
   cargo test -q --offline
+}
+
+stage_digests() {
+  echo "== pinned digests (scripts/digests.txt: recompute each, fail on drift) =="
+  # Each bench rewrites its BENCH_*.json; keep the committed artifacts and
+  # put them back afterwards, so this stage only checks.
+  DDIR=$(mktemp -d)
+  CLEANUP="$CLEANUP $DDIR"
+  drift=0
+  while read -r name bench quick artifact key want; do
+    case "$name" in ''|'#'*) continue ;; esac
+    cp "$artifact" "$DDIR/$artifact"
+    DVS_QUICK="$quick" cargo bench --offline -q -p dvs-bench --bench "$bench" </dev/null >"$DDIR/$name.log" 2>&1 \
+      || { cat "$DDIR/$name.log"; cp "$DDIR/$artifact" "$artifact"; echo "$name: bench $bench failed"; exit 1; }
+    got=$(sed -n "s/^ *\"$key\": \"\([0-9a-f]*\)\".*/\1/p" "$artifact" | head -1)
+    cp "$DDIR/$artifact" "$artifact"
+    if [ "$got" = "$want" ]; then
+      echo "$name: $got ok"
+    else
+      echo "$name: DRIFT expected=$want got=${got:-<none>}"
+      drift=1
+    fi
+  done <scripts/digests.txt
+  [ "$drift" -eq 0 ] || { echo "pinned digest drift"; exit 1; }
 }
 
 stage_chaos() {
@@ -140,9 +167,10 @@ stage_step() {
 
 stage_telemetry() {
   echo "== telemetry smoke (zero-perturbation + Perfetto export validation) =="
-  # Captures one tatas run per protocol with a recorder sink, asserts the
-  # stats/metrics match the no-telemetry baseline, validates the exported
-  # Chrome trace JSON, and writes TRACE_telemetry_*.json + BENCH_telemetry.json.
+  # Captures one tatas run per protocol (GCS included) with a recorder
+  # sink, asserts the stats/metrics match the no-telemetry baseline,
+  # validates the exported Chrome trace JSON, and writes BENCH_telemetry.json
+  # plus the git-ignored TRACE_telemetry_*.json timelines.
   DVS_QUICK=1 cargo bench --offline -p dvs-bench --bench telemetry_timeline
   # Digest invariance across telemetry policies and worker counts.
   cargo test -q --offline -p dvs-campaign --test telemetry
