@@ -35,8 +35,8 @@ use dvs_core::config::Protocol;
 use dvs_stats::report::{host_parallelism, peak_rss_bytes, BenchArtifact, JsonObject, ParamTable};
 use dvs_vm::litmus::{self, Litmus};
 
-/// Which budget, if any, ended the run — same spelling as the `dvs-check`
-/// CLI's `budget=` token.
+/// Which budget, if any, ended the run — same spelling as the
+/// `dvs check` report's `budget=` token.
 fn budget_label(report: &CheckReport) -> &'static str {
     match (report.stats.depth_truncated, report.stats.state_truncated) {
         (false, false) => "none",

@@ -12,7 +12,7 @@
 //!
 //! `DVS_QUICK=1` shrinks the seed ranges for CI smoke.
 
-use dvs_campaign::quick_mode;
+use dvs_campaign::{mutation_token, quick_mode};
 use dvs_core::config::ProtocolMutation;
 use dvs_fuzz::{generate, run_batch, run_case, shrink, BatchConfig, GenConfig, HarnessConfig};
 use dvs_stats::report::{BenchArtifact, JsonObject, ParamTable};
@@ -20,11 +20,11 @@ use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-const MUTATIONS: [(&str, ProtocolMutation); 4] = [
-    ("dnv-skip-repoint", ProtocolMutation::DnvSkipRepoint),
-    ("dnv-drop-xfer", ProtocolMutation::DnvDropXfer),
-    ("mesi-skip-invalidate", ProtocolMutation::MesiSkipInvalidate),
-    ("mesi-drop-ack", ProtocolMutation::MesiDropAck),
+const MUTATIONS: [ProtocolMutation; 4] = [
+    ProtocolMutation::DnvSkipRepoint,
+    ProtocolMutation::DnvDropXfer,
+    ProtocolMutation::MesiSkipInvalidate,
+    ProtocolMutation::MesiDropAck,
 ];
 
 fn main() {
@@ -83,7 +83,8 @@ fn main() {
 
     // 2 + 3. Catch rates and shrink ratios per mutation.
     let mut mutation_rows = Vec::new();
-    for (tok, mutation) in MUTATIONS {
+    for mutation in MUTATIONS {
+        let tok = mutation_token(mutation);
         let harness = HarnessConfig {
             mutation: Some(mutation),
             ..Default::default()

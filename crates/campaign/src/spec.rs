@@ -452,8 +452,8 @@ pub fn parse_protocol(label: &str) -> Result<Protocol, String> {
         .ok_or_else(|| format!("unknown protocol {label:?} (want M, DS0, DS, or GCS)"))
 }
 
-/// The serialized form of a [`ProtocolMutation`] — the same tokens the
-/// `dvsf` CLI accepts, so spec tokens and fuzz commands agree.
+/// The serialized form of a [`ProtocolMutation`] — the same tokens every
+/// `dvs` command's `--mutation` accepts, so spec tokens and commands agree.
 pub fn mutation_token(m: ProtocolMutation) -> &'static str {
     match m {
         ProtocolMutation::DnvSkipRepoint => "dnv-skip-repoint",

@@ -17,7 +17,7 @@
 //! * [`mix`] — the seeded workload-mix generator: deterministic
 //!   server-like churn addressable by `(seed, phases, threads)`.
 //!
-//! The `dvst` binary exposes record/replay/compose/mix/show as a CLI.
+//! `dvs trace` exposes record/replay/compose/mix/show on the command line.
 
 pub mod compose;
 pub mod composite;
