@@ -1,7 +1,8 @@
 //! Pins the model checker's view of every protocol: the root state's
 //! canonical fingerprint, the fingerprint after a fixed seeded oracle walk,
 //! and the exact-mode exhaustive state counts, for the `fai` and `tatas`
-//! litmus tests on M / DS0 / DS / GCS.
+//! litmus tests on M / DS0 / DS / GCS — plus the root and walk fingerprints
+//! of the eight-core `tatas8`, whose mesh is not square.
 //!
 //! A refactor of any protocol controller must leave all of these unchanged:
 //! the fingerprint byte stream is what `DVSCKPT1` checkpoints and the
@@ -133,4 +134,32 @@ fn tatas_fingerprints_and_state_counts_are_pinned() {
             ),
         ],
     );
+}
+
+/// `tatas_n(8)`: eight L1s on a 2×4 mesh, so the pins also cover a
+/// non-square machine. Its state space is too large to count exhaustively;
+/// only the root and walk fingerprints are pinned.
+#[test]
+fn tatas8_root_and_walk_fingerprints_are_pinned() {
+    let lit = litmus::tatas_n(8);
+    for (proto, root, walk) in [
+        (Protocol::Mesi, 7684794731902582404, 6327609901725202383),
+        (
+            Protocol::DeNovoSync0,
+            3194325243273039201,
+            11129477106654878632,
+        ),
+        (
+            Protocol::DeNovoSync,
+            4367729136531709581,
+            13000472775262153294,
+        ),
+        (Protocol::Gcs, 6930416840386581327, 10820002911137322866),
+    ] {
+        let got = (
+            litmus_root(&lit, proto, None).fingerprint(),
+            walk_fingerprint(&lit, proto),
+        );
+        assert_eq!(got, (root, walk), "{} on {proto:?}", lit.name);
+    }
 }

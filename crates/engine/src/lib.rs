@@ -43,6 +43,13 @@ pub type Cycle = u64;
 /// so the heap only sees pathological far-future events.
 const RING: usize = 256;
 
+/// Until the ring exists, near-future events also go to the overflow heap
+/// while it holds fewer than this many events: a scheduler that never
+/// queues many events at once — the model checker's oracle mode — never
+/// allocates the ring, and a handful of heap entries cost less than 256
+/// buckets. Any busier scheduler allocates the ring for good.
+const HEAP_ONLY_BELOW: usize = 16;
+
 /// A deterministic discrete-event scheduler.
 ///
 /// Events are ordered by `(cycle, sequence)`: ties on the cycle are broken by
@@ -63,6 +70,15 @@ const RING: usize = 256;
 /// have entered the overflow tier at a strictly earlier scheduling time —
 /// `now` is monotone, so its sequence number is strictly smaller.
 ///
+/// The ring is allocated lazily, on the first near-future push that finds
+/// `HEAP_ONLY_BELOW` (16) events already queued; until then the heap takes
+/// every event. Such heap events were pushed before the ring existed, so
+/// they too precede any ring event of their cycle. A clone of a scheduler
+/// whose ring holds no events gets no ring at all. So cloning and dropping
+/// a drained scheduler (every model-checker state — the oracle pops until
+/// the queue is empty) allocate nothing and visit no buckets, and neither
+/// does firing a delivery on the clone that queues fewer events than that.
+///
 /// # Examples
 ///
 /// ```
@@ -74,12 +90,13 @@ const RING: usize = 256;
 /// assert_eq!(sched.pop(), Some((10, 1)));
 /// assert_eq!(sched.pop(), Some((10, 2)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Scheduler<E> {
     /// `ring[c % RING]` is the FIFO bucket for absolute cycle `c`, valid for
     /// `c` in `[now, now + RING)`. Buckets below `now` are always empty (a
     /// cycle is fully drained before `now` moves past it), so each slot is
-    /// unambiguous.
+    /// unambiguous. Empty (no buckets at all) until allocated;
+    /// `ring_len > 0` implies it holds `RING` buckets.
     ring: Vec<VecDeque<E>>,
     /// Number of events currently in the ring (so pops skip the scan
     /// entirely when only the overflow tier is populated).
@@ -114,6 +131,25 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Clones the ring only if it holds events: a drained scheduler's clone
+/// starts ring-less, like a new one.
+impl<E: Clone> Clone for Scheduler<E> {
+    fn clone(&self) -> Self {
+        Scheduler {
+            ring: if self.ring_len > 0 {
+                self.ring.clone()
+            } else {
+                Vec::new()
+            },
+            ring_len: self.ring_len,
+            overflow: self.overflow.clone(),
+            now: self.now,
+            seq: self.seq,
+            scheduled: self.scheduled,
+        }
+    }
+}
+
 impl<E> Default for Scheduler<E> {
     fn default() -> Self {
         Self::new()
@@ -124,7 +160,7 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler at cycle 0.
     pub fn new() -> Self {
         Scheduler {
-            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            ring: Vec::new(),
             ring_len: 0,
             overflow: BinaryHeap::new(),
             now: 0,
@@ -159,7 +195,11 @@ impl<E> Scheduler<E> {
         );
         self.seq += 1;
         self.scheduled += 1;
-        if at - self.now < RING as Cycle {
+        let near = at - self.now < RING as Cycle;
+        if near && (!self.ring.is_empty() || self.overflow.len() >= HEAP_ONLY_BELOW) {
+            if self.ring.is_empty() {
+                self.ring = (0..RING).map(|_| VecDeque::new()).collect();
+            }
             self.ring[(at % RING as Cycle) as usize].push_back(event);
             self.ring_len += 1;
         } else {
@@ -306,6 +346,34 @@ mod tests {
         s.pop();
         assert_eq!(s.len(), 1);
         assert_eq!(s.scheduled_events(), 2);
+    }
+
+    #[test]
+    fn ring_is_allocated_lazily_and_not_cloned_when_drained() {
+        let mut s = Scheduler::new();
+        for i in 0..HEAP_ONLY_BELOW {
+            s.schedule_at(3 + i as Cycle, i);
+        }
+        assert!(s.ring.is_empty(), "a few events stay in the heap");
+        s.schedule_at(2, 100);
+        assert_eq!((s.ring.len(), s.ring_len), (RING, 1));
+        // A clone of a scheduler with ring events copies the ring.
+        assert_eq!(s.clone().ring.len(), RING);
+        assert_eq!(s.pop(), Some((2, 100)));
+        // Drained ring, heap events pending: the clone is ring-less but
+        // pops the same sequence.
+        let mut c = s.clone();
+        assert!(c.ring.is_empty());
+        for i in 0..HEAP_ONLY_BELOW {
+            assert_eq!(c.pop(), Some((3 + i as Cycle, i)));
+            assert_eq!(s.pop(), Some((3 + i as Cycle, i)));
+        }
+        // Fully drained: the clone holds no ring and no events.
+        let d = s.clone();
+        assert!(d.ring.is_empty() && d.is_empty());
+        assert_eq!((d.now(), d.scheduled_events()), (18, 17));
+        // The original keeps its ring for good.
+        assert_eq!(s.ring.len(), RING);
     }
 
     #[test]

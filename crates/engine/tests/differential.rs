@@ -145,3 +145,124 @@ impl FnSched for HeapScheduler<&'static str> {
         self.schedule_at(at, tag);
     }
 }
+
+/// What the calendar ring and the overflow heap hold at the moment of a
+/// clone in [`clone_and_continue`].
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// Fully drained — every model-checker state is cloned like this.
+    Nothing,
+    RingOnly,
+    OverflowOnly,
+    Both,
+}
+
+/// The production scheduler and the reference, driven in lockstep.
+struct Pair {
+    new: Scheduler<u64>,
+    old: HeapScheduler<u64>,
+}
+
+impl Pair {
+    fn schedule_in(&mut self, delay: Cycle, tag: u64) {
+        self.new.schedule_in(delay, tag);
+        self.old.schedule_in(delay, tag);
+    }
+}
+
+/// Runs a random pre-history, drains both schedulers, loads them as `held`
+/// says, clones both, and then drives all four through the same further
+/// random schedules and pops: original and clone, production and
+/// reference, must pop the same sequence.
+fn clone_and_continue(seed: u64, held: Held) {
+    let mut rng = DetRng::new(seed);
+    let mut a = Pair {
+        new: Scheduler::new(),
+        old: HeapScheduler::new(),
+    };
+    let mut tag: u64 = 0;
+
+    // Pre-history across both tiers. The first 40 pushes queue enough
+    // events to allocate the ring, so after the drain the original holds
+    // an empty ring and its clone none: the two take different tiers for
+    // the same later pushes.
+    for _ in 0..40 {
+        a.schedule_in(rng.range(0, 600), tag);
+        tag += 1;
+    }
+    for _ in 0..rng.range(0, 200) {
+        if rng.range(0, 100) < 60 {
+            a.schedule_in(rng.range(0, 600), tag);
+            tag += 1;
+        } else {
+            assert_eq!(a.new.pop(), a.old.pop(), "seed {seed}: pre-history");
+        }
+    }
+    while let Some(ev) = a.old.pop() {
+        assert_eq!(a.new.pop(), Some(ev), "seed {seed}: drain");
+    }
+    assert!(a.new.is_empty());
+
+    let (ring, overflow) = match held {
+        Held::Nothing => (false, false),
+        Held::RingOnly => (true, false),
+        Held::OverflowOnly => (false, true),
+        Held::Both => (true, true),
+    };
+    for _ in 0..rng.range(1, 12) {
+        if ring {
+            a.schedule_in(rng.range(0, 256), tag);
+            tag += 1;
+        }
+        if overflow {
+            a.schedule_in(rng.range(256, 3000), tag);
+            tag += 1;
+        }
+    }
+
+    let mut b = Pair {
+        new: a.new.clone(),
+        old: a.old.clone(),
+    };
+    for op in 0..2000 {
+        if rng.range(0, 100) < 50 || a.old.is_empty() {
+            let delay = rng.range(0, 600);
+            a.schedule_in(delay, tag);
+            b.schedule_in(delay, tag);
+            tag += 1;
+        } else {
+            let want = a.old.pop();
+            assert!(want.is_some());
+            assert_eq!(
+                b.old.pop(),
+                want,
+                "seed {seed} {held:?}: reference clone, op {op}"
+            );
+            assert_eq!(a.new.pop(), want, "seed {seed} {held:?}: original, op {op}");
+            assert_eq!(b.new.pop(), want, "seed {seed} {held:?}: clone, op {op}");
+        }
+        assert_eq!(b.new.len(), a.old.len());
+        assert_eq!(b.new.peek_cycle(), a.old.peek_cycle());
+        assert_eq!(b.new.scheduled_events(), a.old.scheduled_events());
+    }
+    while let Some(ev) = a.old.pop() {
+        assert_eq!(b.old.pop(), Some(ev));
+        assert_eq!(a.new.pop(), Some(ev), "seed {seed} {held:?}: original tail");
+        assert_eq!(b.new.pop(), Some(ev), "seed {seed} {held:?}: clone tail");
+    }
+    assert_eq!((a.new.pop(), b.new.pop(), b.old.pop()), (None, None, None));
+}
+
+#[test]
+fn clones_continue_like_the_original_in_every_tier_state() {
+    for held in [
+        Held::Nothing,
+        Held::RingOnly,
+        Held::OverflowOnly,
+        Held::Both,
+    ] {
+        for seed in 40..52 {
+            clone_and_continue(seed, held);
+        }
+    }
+}

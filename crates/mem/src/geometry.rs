@@ -68,9 +68,10 @@ impl CacheGeometry {
         self.sets * self.assoc
     }
 
-    /// The set a line maps to.
+    /// The set a line maps to: the line address modulo the (power-of-two)
+    /// set count.
     pub fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets as u64) as usize
+        (line.raw() & (self.sets as u64 - 1)) as usize
     }
 }
 

@@ -93,11 +93,17 @@ stage_check_scale() {
   ck_tok() { echo "$1" | tr ' ' '\n' | sed -n "s/^$2=//p" | tail -1; }
 
   # Throughput floor: a 100k-expansion exact exploration of tatas8 must
-  # sustain >= 2000 unique states/s (a single release core does ~6k; the
+  # sustain >= 2000 unique states/s (a single release core does ~14k; the
   # floor only catches order-of-magnitude regressions on slow CI hosts).
+  # The run uses one worker, so its counts are deterministic: they are
+  # gated exactly, whatever the host's speed.
   out=$("$DVS" check explore --litmus tatas8 --proto M --max-states 100000); echo "$out"
   rate=$(ck_tok "$out" states_per_s)
   [ "$rate" -ge 2000 ] || { echo "states/s floor missed: $rate < 2000"; exit 1; }
+  for want in unique=53608 expansions=100000; do
+    got=$(ck_tok "$out" "${want%%=*}")
+    [ "$got" = "${want#*=}" ] || { echo "tatas8 M count drifted: ${want%%=*}=$got, want ${want#*=}"; exit 1; }
+  done
 
   # Spill-tier RSS ceiling: a 4 MB visited budget on a ~5.6 MB working set
   # must actually page shards out, and the process high-water mark must
