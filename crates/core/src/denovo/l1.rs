@@ -294,6 +294,26 @@ impl DnvL1 {
         !self.mshr.contains(&word) && self.word_state(word) == WState::Registered
     }
 
+    /// One line's word masks for the delivery-boundary check: bit `i` of
+    /// the first is set when word `i` is Registered in the array, bit `i`
+    /// of the second when word `i` has an MSHR entry. A word is a settled
+    /// registrant ([`DnvL1::word_registered`]) exactly when its bit is in
+    /// `registered & !pending`.
+    pub fn line_masks(&self, line: LineAddr) -> (u8, u8) {
+        let registered = self.cache.get(line).map_or(0, |l| {
+            l.words
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.state == WState::Registered)
+                .fold(0, |m, (i, _)| m | 1 << i)
+        });
+        let pending = self
+            .mshr
+            .range(line.word(0)..=line.word(WORDS_PER_LINE - 1))
+            .fold(0, |m, (w, _)| m | 1 << w.index_in_line());
+        (registered, pending)
+    }
+
     /// The word's current state (Invalid if the line is absent).
     pub fn word_state(&self, word: WordAddr) -> WState {
         self.cache
@@ -334,9 +354,17 @@ impl DnvL1 {
         self.mshr.len()
     }
 
-    /// Whether this L1 has an outstanding MSHR transaction on `word`.
-    pub fn has_pending(&self, word: WordAddr) -> bool {
-        self.mshr.contains(&word)
+    /// Test-only corruption: forces `word`'s array state, installing its
+    /// line if absent, without touching the MSHR or telling the registry.
+    #[cfg(test)]
+    pub(crate) fn force_word_state(&mut self, word: WordAddr, state: WState) {
+        if !self.cache.contains(word.line()) {
+            let _ = self
+                .cache
+                .insert_filtered(word.line(), DnvLine::empty(), |_, _| false);
+        }
+        let line = self.cache.get_mut(word.line()).expect("line installed");
+        line.words[word.index_in_line()].state = state;
     }
 
     /// Whether a forwarded registration transfer is parked on `word`'s MSHR

@@ -169,8 +169,27 @@ impl DnvRegistry {
 
     /// The registry state of a word, if its line has been touched.
     pub fn word(&self, word: WordAddr) -> Option<RegWord> {
-        let line = self.lines.get(word.line().raw())?;
-        line.has_data.then_some(line.words[word.index_in_line()])
+        self.line_words(word.line())
+            .map(|words| words[word.index_in_line()])
+    }
+
+    /// The registry state of every word of `line` at once, if the line has
+    /// been touched — [`DnvRegistry::word`] for the whole line in one
+    /// lookup.
+    pub fn line_words(&self, line: LineAddr) -> Option<&[RegWord; WORDS_PER_LINE]> {
+        let line = self.lines.get(line.raw())?;
+        line.has_data.then_some(&line.words)
+    }
+
+    /// Test-only corruption: overwrites the registry state of a word whose
+    /// line holds data, telling no L1 (a no-op for any other word).
+    #[cfg(test)]
+    pub(crate) fn force_word(&mut self, word: WordAddr, state: RegWord) {
+        if let Some(line) = self.lines.get_mut(word.line().raw()) {
+            if line.has_data {
+                line.words[word.index_in_line()] = state;
+            }
+        }
     }
 
     /// Number of words currently registered to some L1 (diagnostics; the

@@ -29,7 +29,7 @@ use crate::config::ProtocolMutation;
 use crate::denovo::registry::{DnvRegistry, RegWord};
 use crate::msg::{BankId, CoreId, DnvMsg, Endpoint, GcsMsg, GcsOpKind, Msg, XferClass};
 use crate::proto::Action;
-use dvs_mem::WordAddr;
+use dvs_mem::{LineAddr, WordAddr, WORDS_PER_LINE};
 use dvs_telemetry::{Component, Event, EventKind, TelemetryKey};
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -155,6 +155,16 @@ impl DnvRegistry {
         self.dir().is_some_and(|d| d.entries.contains_key(&word))
     }
 
+    /// Which words of `line` are sync-classified here, as a mask (bit `i`
+    /// for word `i`): one range probe of the sync map for the whole line.
+    pub fn classified_mask(&self, line: LineAddr) -> u8 {
+        self.dir().map_or(0, |d| {
+            d.entries
+                .range(line.word(0)..=line.word(WORDS_PER_LINE - 1))
+                .fold(0, |m, (w, _)| m | 1 << w.index_in_line())
+        })
+    }
+
     /// Iterates every sync-classified word homed here.
     pub fn classified_words(&self) -> impl Iterator<Item = WordAddr> + '_ {
         self.dir()
@@ -169,11 +179,22 @@ impl DnvRegistry {
             .is_some_and(|e| e.recalling)
     }
 
-    /// The cores currently parked in `word`'s waiter set.
-    pub fn waiters_of(&self, word: WordAddr) -> Vec<CoreId> {
+    /// The cores currently parked in `word`'s waiter set, in ascending
+    /// order.
+    pub fn waiters_of(&self, word: WordAddr) -> impl Iterator<Item = CoreId> + '_ {
         self.dir()
             .and_then(|d| d.entries.get(&word))
-            .map_or_else(Vec::new, |e| e.waiters.iter().collect())
+            .into_iter()
+            .flat_map(|e| e.waiters.iter())
+    }
+
+    /// Test-only corruption: sets `core`'s waiter bit on a classified
+    /// `word`, arming nothing at the core (a no-op for any other word).
+    #[cfg(test)]
+    pub(crate) fn force_waiter(&mut self, word: WordAddr, core: CoreId) {
+        if let Some(entry) = self.sync.as_mut().and_then(|d| d.entries.get_mut(&word)) {
+            entry.waiters.set(core);
+        }
     }
 
     /// Total parked waiters across all classified words.
@@ -648,7 +669,7 @@ mod tests {
             &mut acts,
         );
         assert!(acts.is_empty());
-        assert_eq!(b.waiters_of(word(1)), vec![5]);
+        assert_eq!(b.waiters_of(word(1)).collect::<Vec<_>>(), vec![5]);
         // A store changes the value: targeted notify, set cleared.
         b.on_msg(
             Msg::Gcs(GcsMsg::SyncOp {
@@ -665,7 +686,7 @@ mod tests {
                 value: 7,
             }),
         }));
-        assert!(b.waiters_of(word(1)).is_empty());
+        assert!(b.waiters_of(word(1)).collect::<Vec<_>>().is_empty());
         assert_eq!(b.notifies(), 1);
     }
 
@@ -698,7 +719,7 @@ mod tests {
                 value: 101,
             }),
         }));
-        assert!(b.waiters_of(word(1)).is_empty());
+        assert!(b.waiters_of(word(1)).collect::<Vec<_>>().is_empty());
     }
 
     #[test]
@@ -828,6 +849,6 @@ mod tests {
             }
         )));
         assert_eq!(b.notifies(), 0);
-        assert!(b.waiters_of(word(1)).is_empty());
+        assert!(b.waiters_of(word(1)).collect::<Vec<_>>().is_empty());
     }
 }

@@ -229,6 +229,17 @@ impl MesiL1 {
         self.cache.get(line).map(|l| l.state)
     }
 
+    /// Test-only corruption: forces `line` resident in `state` without a
+    /// transaction or a directory update.
+    #[cfg(test)]
+    pub(crate) fn force_line_state(&mut self, line: LineAddr, state: Stable) {
+        let payload = MesiLine {
+            state,
+            data: LineData::default(),
+        };
+        let _ = self.cache.insert_filtered(line, payload, |_, _| false);
+    }
+
     /// One `(line, description)` pair per in-flight transaction (stall
     /// diagnostics and conservation checking).
     pub fn pending_summaries(&self) -> Vec<(LineAddr, String)> {

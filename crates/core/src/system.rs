@@ -35,7 +35,7 @@ use crate::proto::{Action, IssueResult};
 use crate::replay::{Fronts, Recording, ReplayBoard, TraceCore, TraceOp, TraceRecorder, TraceStep};
 use dvs_engine::{Cycle, DetRng, Scheduler};
 use dvs_mem::layout::MemoryLayout;
-use dvs_mem::{Addr, MainMemory, WordAddr};
+use dvs_mem::{Addr, MainMemory, WordAddr, WORDS_PER_LINE};
 use dvs_noc::{Mesh, Network, NodeId};
 use dvs_stats::{RunStats, TimeComponent, TrafficClass, TrafficStats};
 use dvs_telemetry::{
@@ -967,12 +967,7 @@ impl System {
     fn check_line_invariants(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
         match self.cfg.protocol {
             Protocol::Mesi => self.check_mesi_line(line),
-            _ => {
-                for word in line.words() {
-                    self.check_denovo_word(word)?;
-                }
-                Ok(())
-            }
+            _ => self.check_denovo_line(line),
         }
     }
 
@@ -983,42 +978,75 @@ impl System {
     /// (3) a registry `Valid` word has no settled registrant at all.
     /// Words GCS has classified obey the sync-tier rules instead
     /// ([`System::check_sync_word`]).
-    fn check_denovo_word(&self, word: WordAddr) -> Result<(), String> {
-        let mut settled: Option<CoreId> = None;
-        for c in 0..self.l1s.len() {
-            if self.dnv_l1(c).word_registered(word) {
-                if let Some(prev) = settled {
-                    return Err(format!(
-                        "word {word}: settled registrants at both core {prev} and core {c}"
-                    ));
-                }
-                settled = Some(c);
-            }
-        }
-        let bank = self.home_bank(word.line());
+    ///
+    /// The check is line-granular: each L1 and the home bank are probed
+    /// once for the whole line, the rules run as bit operations over
+    /// 8-bit word masks, and only words that break one are visited — in
+    /// word order. The report is the first broken rule of the first bad
+    /// word, naming for (1) the two lowest-numbered settled cores.
+    fn check_denovo_line(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
+        let bank = self.home_bank(line);
         let reg = self.registry(bank);
-        if reg.classified(word) {
-            return self.check_sync_word(bank, word, settled);
+        let states = reg.line_words(line);
+        let classified = reg.classified_mask(line);
+        let (mut pointed, mut valid) = (0u8, 0u8);
+        let mut pointee = [0; WORDS_PER_LINE];
+        for (i, state) in states.into_iter().flatten().enumerate() {
+            match *state {
+                RegWord::Registered(c) => {
+                    pointed |= 1 << i;
+                    pointee[i] = c;
+                }
+                RegWord::Valid(_) => valid |= 1 << i,
+            }
         }
-        match reg.word(word) {
-            Some(RegWord::Registered(c)) => {
-                let l1 = self.dnv_l1(c);
-                if !l1.word_registered(word) && !l1.has_pending(word) {
-                    return Err(format!(
-                        "bank {bank}: registry points {word} at core {c}, which neither holds \
-                         it nor has a transaction on it"
-                    ));
+        // Per word: the first two settled registrants, and whether the
+        // registry's pointee holds the word or has a transaction on it.
+        let (mut settled, mut twice, mut held) = (0u8, 0u8, 0u8);
+        let mut first = [0; WORDS_PER_LINE];
+        let mut second = [0; WORDS_PER_LINE];
+        for c in 0..self.l1s.len() {
+            let (registered, pending) = self.dnv_l1(c).line_masks(line);
+            let here = registered & !pending;
+            for i in word_bits(here & settled & !twice) {
+                second[i] = c;
+            }
+            for i in word_bits(here & !settled) {
+                first[i] = c;
+            }
+            twice |= here & settled;
+            settled |= here;
+            for i in word_bits(pointed & (registered | pending)) {
+                if pointee[i] == c {
+                    held |= 1 << i;
                 }
             }
-            Some(RegWord::Valid(_)) => {
-                if let Some(c) = settled {
-                    return Err(format!(
-                        "bank {bank}: registry holds {word} Valid while core {c} has it \
-                         settled-Registered"
-                    ));
-                }
+        }
+        let broken = (pointed & !held) | (valid & settled);
+        for i in word_bits(twice | classified | broken) {
+            let word = line.word(i);
+            if twice & (1 << i) != 0 {
+                return Err(format!(
+                    "word {word}: settled registrants at both core {} and core {}",
+                    first[i], second[i]
+                ));
             }
-            None => {}
+            if classified & (1 << i) != 0 {
+                let registrant = (settled & (1 << i) != 0).then_some(first[i]);
+                self.check_sync_word(bank, word, registrant, states.map(|s| s[i]))?;
+            } else if pointed & (1 << i) != 0 {
+                return Err(format!(
+                    "bank {bank}: registry points {word} at core {}, which neither holds \
+                     it nor has a transaction on it",
+                    pointee[i]
+                ));
+            } else {
+                return Err(format!(
+                    "bank {bank}: registry holds {word} Valid while core {} has it \
+                     settled-Registered",
+                    first[i]
+                ));
+            }
         }
         Ok(())
     }
@@ -1033,6 +1061,7 @@ impl System {
         bank: usize,
         word: WordAddr,
         settled: Option<CoreId>,
+        state: Option<RegWord>,
     ) -> Result<(), String> {
         let reg = self.registry(bank);
         // Mid-recall the previous registrant may legitimately still hold
@@ -1043,7 +1072,7 @@ impl System {
                     "bank {bank}: classified word {word} has a silent sharer at core {c}"
                 ));
             }
-            match reg.word(word) {
+            match state {
                 Some(RegWord::Valid(_)) => {}
                 other => {
                     return Err(format!(
@@ -1074,7 +1103,7 @@ impl System {
     fn check_mesi_line(&self, line: dvs_mem::LineAddr) -> Result<(), String> {
         use crate::mesi::l1::Stable;
         let mut settled_owner: Option<CoreId> = None;
-        let mut settled_sharers: Vec<CoreId> = Vec::new();
+        let mut settled_sharers = 0u64; // MESI sharer masks are 64-bit
         for (c, l1) in self.l1s.iter().enumerate() {
             let L1::Mesi(l1) = l1 else {
                 unreachable!("protocol mismatch")
@@ -1091,7 +1120,7 @@ impl System {
                     }
                     settled_owner = Some(c);
                 }
-                Some(Stable::S) => settled_sharers.push(c),
+                Some(Stable::S) => settled_sharers |= 1 << c,
                 None => {}
             }
         }
@@ -1108,10 +1137,13 @@ impl System {
                     dir.owner(line)
                 ));
             }
-            if !busy && !settled_sharers.is_empty() {
+            if !busy && settled_sharers != 0 {
+                let cores: Vec<CoreId> = (0..self.l1s.len())
+                    .filter(|c| settled_sharers & 1 << c != 0)
+                    .collect();
                 return Err(format!(
                     "line {line}: settled owner {owner} coexists with settled S copies at \
-                     cores {settled_sharers:?}"
+                     cores {cores:?}"
                 ));
             }
         }
@@ -1149,8 +1181,16 @@ impl System {
     /// Returns a description of the first violated invariant.
     pub fn verify_invariants(&self) -> Result<(), String> {
         // Per-line settled-state checks over every tracked address.
-        let mut lines: std::collections::BTreeSet<dvs_mem::LineAddr> =
-            std::collections::BTreeSet::new();
+        for line in self.tracked_lines() {
+            self.check_line_invariants(line)?;
+        }
+        self.verify_conservation()
+    }
+
+    /// Every line some L1 or bank tracks: resident, pending, registered or
+    /// classified — the lines [`System::verify_invariants`] scans.
+    fn tracked_lines(&self) -> std::collections::BTreeSet<dvs_mem::LineAddr> {
+        let mut lines = std::collections::BTreeSet::new();
         for l1 in &self.l1s {
             match l1 {
                 L1::Mesi(l1) => {
@@ -1172,10 +1212,7 @@ impl System {
                 }
             }
         }
-        for &line in &lines {
-            self.check_line_invariants(line)?;
-        }
-        self.verify_conservation()
+        lines
     }
 
     /// The conservation half of [`System::verify_invariants`]. In-flight
@@ -2279,6 +2316,18 @@ impl System {
     }
 }
 
+/// The indices of `mask`'s set bits, lowest first — the words of a line a
+/// word mask names, in word order.
+fn word_bits(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2638,10 +2687,12 @@ mod tests {
         let err = sys
             .verify_invariants()
             .expect_err("checker must flag a registry pointer with no holder");
-        assert!(
-            err.contains("registry points"),
-            "unexpected violation detail: {err}"
+        assert_eq!(
+            err,
+            "bank 1: registry points w0x40 at core 0, which neither holds it nor has a \
+             transaction on it"
         );
+        assert_eq!(line_verdict(&sys, word.line()), Err(err));
     }
 
     #[test]
@@ -2865,7 +2916,11 @@ mod tests {
         let err = sys
             .verify_invariants()
             .expect_err("checker must flag a waiter bit with no watcher");
-        assert!(err.contains("waiter bit"), "unexpected detail: {err}");
+        assert_eq!(
+            err,
+            "bank 1: waiter bit for core 2 on w0x40, but that core is remote-watching None"
+        );
+        assert_eq!(line_verdict(&sys, word.line()), Err(err));
     }
 
     #[test]
@@ -2959,6 +3014,310 @@ mod tests {
             // least one protocol state (overwhelmingly likely here), but
             // both must converge to the same final answer — checked above.
             let _ = walk(43);
+        }
+    }
+
+    // --- line-granular runtime checks ---------------------------------------
+
+    /// The per-word DeNovo line check that the line-granular one replaced,
+    /// kept as a reference model: each word in order, every L1 probed per
+    /// word, the registry and the sync directory looked up per word.
+    fn per_word_reference(sys: &System, line: dvs_mem::LineAddr) -> Result<(), String> {
+        for word in line.words() {
+            let mut settled: Option<CoreId> = None;
+            for c in 0..sys.l1s.len() {
+                if sys.dnv_l1(c).word_registered(word) {
+                    if let Some(prev) = settled {
+                        return Err(format!(
+                            "word {word}: settled registrants at both core {prev} and core {c}"
+                        ));
+                    }
+                    settled = Some(c);
+                }
+            }
+            let bank = sys.home_bank(word.line());
+            let reg = sys.registry(bank);
+            if reg.classified(word) {
+                if !reg.recalling(word) {
+                    if let Some(c) = settled {
+                        return Err(format!(
+                            "bank {bank}: classified word {word} has a silent sharer at core {c}"
+                        ));
+                    }
+                    match reg.word(word) {
+                        Some(RegWord::Valid(_)) => {}
+                        other => {
+                            return Err(format!(
+                                "bank {bank}: classified word {word} is {other:?}, not Valid"
+                            ))
+                        }
+                    }
+                }
+                for c in reg.waiters_of(word) {
+                    let watching = sys.dnv_l1(c).remote_watch_word();
+                    if watching != Some(word) {
+                        return Err(format!(
+                            "bank {bank}: waiter bit for core {c} on {word}, but that core is \
+                             remote-watching {watching:?}"
+                        ));
+                    }
+                }
+                continue;
+            }
+            match reg.word(word) {
+                Some(RegWord::Registered(c)) => {
+                    let l1 = sys.dnv_l1(c);
+                    if !l1.word_registered(word) && !l1.mshr.contains(&word) {
+                        return Err(format!(
+                            "bank {bank}: registry points {word} at core {c}, which neither \
+                             holds it nor has a transaction on it"
+                        ));
+                    }
+                }
+                Some(RegWord::Valid(_)) => {
+                    if let Some(c) = settled {
+                        return Err(format!(
+                            "bank {bank}: registry holds {word} Valid while core {c} has it \
+                             settled-Registered"
+                        ));
+                    }
+                }
+                None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks `line` with the production check and the reference model,
+    /// asserts they agree, and returns the verdict.
+    fn line_verdict(sys: &System, line: dvs_mem::LineAddr) -> Result<(), String> {
+        let got = sys.check_line_invariants(line);
+        assert_eq!(got, per_word_reference(sys, line), "line {line}");
+        got
+    }
+
+    /// One increment per core on `proto`'s 4-core machine, run to
+    /// quiescence. Returns the machine and the counter's word.
+    fn quiesced_counter(proto: Protocol) -> (System, WordAddr) {
+        let (layout, counter) = counter_layout();
+        let make = || {
+            let mut a = Asm::new("inc");
+            a.movi(Reg(1), counter.raw())
+                .movi(Reg(2), 1)
+                .fai(Reg(3), Reg(1), 0, Reg(2))
+                .halt();
+            a.build()
+        };
+        let mut sys = System::new(
+            SystemConfig::small(4, proto),
+            layout,
+            (0..4).map(|_| make()).collect::<Vec<_>>(),
+        );
+        sys.run().unwrap();
+        sys.verify_invariants().expect("clean after a clean run");
+        (sys, counter.word())
+    }
+
+    fn force(sys: &mut System, core: CoreId, word: WordAddr, state: crate::denovo::l1::WState) {
+        let L1::Dnv(l1) = &mut sys.l1s[core] else {
+            unreachable!("DeNovo-family machine")
+        };
+        l1.force_word_state(word, state);
+    }
+
+    #[test]
+    fn line_check_reports_the_lowest_pair_of_settled_registrants() {
+        use crate::denovo::l1::WState;
+        let (mut sys, counter) = quiesced_counter(Protocol::DeNovoSync0);
+        let line = counter.line();
+        let word = line.word(5);
+        for c in [3, 1, 2] {
+            force(&mut sys, c, word, WState::Registered);
+        }
+        assert_eq!(
+            line_verdict(&sys, line),
+            Err("word w0x68: settled registrants at both core 1 and core 2".into())
+        );
+    }
+
+    #[test]
+    fn line_check_flags_a_valid_registry_word_with_a_settled_registrant() {
+        use crate::denovo::l1::WState;
+        let (mut sys, counter) = quiesced_counter(Protocol::DeNovoSync);
+        let line = counter.line();
+        let word = line.word(3);
+        assert!(matches!(
+            sys.registry(sys.home_bank(line)).word(word),
+            Some(RegWord::Valid(_))
+        ));
+        force(&mut sys, 2, word, WState::Registered);
+        assert_eq!(
+            line_verdict(&sys, line),
+            Err("bank 1: registry holds w0x58 Valid while core 2 has it settled-Registered".into())
+        );
+    }
+
+    #[test]
+    fn line_check_reports_the_first_bad_word_and_its_first_rule() {
+        use crate::denovo::l1::WState;
+        let (mut sys, counter) = quiesced_counter(Protocol::DeNovoSync0);
+        let line = counter.line();
+        // Word 6 breaks uniqueness; word 2 is a Valid registry word with a
+        // settled registrant. Word order decides: word 2 is reported.
+        force(&mut sys, 1, line.word(6), WState::Registered);
+        force(&mut sys, 3, line.word(6), WState::Registered);
+        force(&mut sys, 0, line.word(2), WState::Registered);
+        assert_eq!(
+            line_verdict(&sys, line),
+            Err("bank 1: registry holds w0x50 Valid while core 0 has it settled-Registered".into())
+        );
+        // Within one word uniqueness comes first: a second settled
+        // registrant on word 2 turns its report into the pair.
+        force(&mut sys, 2, line.word(2), WState::Registered);
+        assert_eq!(
+            line_verdict(&sys, line),
+            Err("word w0x50: settled registrants at both core 0 and core 2".into())
+        );
+    }
+
+    #[test]
+    fn line_check_flags_a_silent_sharer_of_a_classified_word() {
+        use crate::denovo::l1::WState;
+        let (mut sys, counter) = quiesced_counter(Protocol::Gcs);
+        let bank = sys.home_bank(counter.line());
+        assert!(sys.registry(bank).classified(counter));
+        force(&mut sys, 2, counter, WState::Registered);
+        assert_eq!(
+            line_verdict(&sys, counter.line()),
+            Err("bank 1: classified word w0x40 has a silent sharer at core 2".into())
+        );
+    }
+
+    #[test]
+    fn mesi_line_check_lists_every_settled_sharer_beside_an_owner() {
+        use crate::mesi::l1::Stable;
+        let (mut sys, counter) = quiesced_counter(Protocol::Mesi);
+        let line = counter.line();
+        let owner = (0..4)
+            .find(|&c| {
+                let L1::Mesi(l1) = &sys.l1s[c] else {
+                    unreachable!()
+                };
+                matches!(l1.line_state(line), Some(Stable::E | Stable::M))
+            })
+            .expect("the last incrementer owns the counter");
+        for c in (0..4).filter(|&c| c != owner).skip(1) {
+            let L1::Mesi(l1) = &mut sys.l1s[c] else {
+                unreachable!()
+            };
+            l1.force_line_state(line, Stable::S);
+        }
+        assert_eq!(
+            sys.check_line_invariants(line),
+            Err(
+                "line l0x40: settled owner 3 coexists with settled S copies at cores [1, 2]".into()
+            )
+        );
+    }
+
+    #[test]
+    fn line_check_matches_the_per_word_reference_on_oracle_walks() {
+        // Seeded oracle walks, stock and mutated; after every delivery each
+        // tracked line is checked by both models, and so is a clone with a
+        // few random words forced into a random state behind the
+        // protocol's back — which reaches every rule, not just the ones a
+        // mutation breaks.
+        use crate::config::ProtocolMutation;
+        use crate::denovo::l1::WState;
+        use dvs_vm::litmus;
+        const RULES: [&str; 6] = [
+            "settled registrants at both",
+            "which neither holds it nor has a transaction",
+            "Valid while core",
+            "has a silent sharer",
+            "is Some(Registered(",
+            "waiter bit for core",
+        ];
+        let mut lines_checked = 0usize;
+        let mut reached = [false; RULES.len()];
+        for lit in [litmus::fai(), litmus::tatas_n(3), litmus::mp()] {
+            for (proto, mutation) in [
+                (Protocol::DeNovoSync0, None),
+                (
+                    Protocol::DeNovoSync0,
+                    Some(ProtocolMutation::DnvSkipRepoint),
+                ),
+                (Protocol::DeNovoSync, None),
+                (Protocol::DeNovoSync, Some(ProtocolMutation::DnvDropXfer)),
+                (Protocol::Gcs, None),
+                (Protocol::Gcs, Some(ProtocolMutation::GcsDropNotify)),
+                (Protocol::Gcs, Some(ProtocolMutation::GcsSkipUpdate)),
+            ] {
+                for seed in 0..4 {
+                    let mut programs = lit.programs.clone();
+                    while programs.len() < 4 {
+                        let mut a = Asm::new("idle");
+                        a.halt();
+                        programs.push(a.build());
+                    }
+                    let mut cfg = SystemConfig::small(4, proto);
+                    cfg.mutation = mutation;
+                    let mut sys = System::new_oracle(cfg, lit.layout.clone(), programs);
+                    let mut rng = DetRng::new(seed);
+                    let mut verdict = |sys: &System, line| {
+                        lines_checked += 1;
+                        if let Err(e) = line_verdict(sys, line) {
+                            for (hit, rule) in reached.iter_mut().zip(RULES) {
+                                *hit |= e.contains(rule);
+                            }
+                        }
+                    };
+                    loop {
+                        let lines = sys.tracked_lines();
+                        for &line in &lines {
+                            verdict(&sys, line);
+                        }
+                        let mut bad = sys.clone();
+                        let line = *lines
+                            .iter()
+                            .nth(rng.range(0, lines.len() as u64) as usize)
+                            .expect("a running walk tracks some line");
+                        for _ in 0..rng.range(1, 4) {
+                            let word = line.word(rng.range(0, 8) as usize);
+                            let core = rng.range(0, 4) as usize;
+                            let bank = bad.home_bank(line);
+                            let Bank::Dnv(reg) = &mut bad.banks[bank] else {
+                                unreachable!()
+                            };
+                            match rng.range(0, 5) {
+                                0 => force(&mut bad, core, word, WState::Registered),
+                                1 => force(&mut bad, core, word, WState::Valid),
+                                2 => force(&mut bad, core, word, WState::Invalid),
+                                3 => {
+                                    let state = if rng.chance(1, 2) {
+                                        RegWord::Registered(core)
+                                    } else {
+                                        RegWord::Valid(0)
+                                    };
+                                    reg.force_word(word, state);
+                                }
+                                _ => reg.force_waiter(word, core),
+                            }
+                        }
+                        verdict(&bad, line);
+                        let channels = sys.oracle_channels();
+                        if channels.is_empty() || sys.error().is_some() {
+                            break;
+                        }
+                        let pick = channels[rng.range(0, channels.len() as u64) as usize];
+                        assert!(sys.oracle_deliver(pick));
+                    }
+                }
+            }
+        }
+        assert!(lines_checked > 1_000, "walks checked {lines_checked} lines");
+        for (hit, rule) in reached.into_iter().zip(RULES) {
+            assert!(hit, "no walk reached the \"{rule}\" rule");
         }
     }
 }

@@ -13,6 +13,7 @@
 
 use dvs_telemetry::{Component, Event, EventKind, Telemetry, TelemetryKey};
 use std::hash::Hash;
+use std::ops::{Bound, RangeBounds};
 
 /// A file of miss-status holding registers keyed by `K`.
 ///
@@ -181,6 +182,27 @@ impl<K: Ord + TelemetryKey, V> Mshr<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
+
+    /// Iterates the outstanding entries whose keys fall in `range`, in
+    /// ascending key order: one binary search for the first, then a scan
+    /// that stops at the first key past the range (a DeNovo L1 asks for
+    /// the eight words of one line this way).
+    pub fn range<'a, R: RangeBounds<K> + 'a>(
+        &'a self,
+        range: R,
+    ) -> impl Iterator<Item = (&'a K, &'a V)> + 'a {
+        let start = self
+            .entries
+            .partition_point(|(k, _)| match range.start_bound() {
+                Bound::Included(lo) => k < lo,
+                Bound::Excluded(lo) => k <= lo,
+                Bound::Unbounded => false,
+            });
+        self.entries[start..]
+            .iter()
+            .take_while(move |(k, _)| range.contains(k))
+            .map(|(k, v)| (k, v))
+    }
 }
 
 /// Canonical hash: entries sorted by key (their storage order), plus the
@@ -237,6 +259,37 @@ mod tests {
         m.remove(&2);
         assert_eq!(m.high_water(), 2);
         assert_eq!(m.len(), 0);
+    }
+
+    #[test]
+    fn range_yields_exactly_the_keys_inside_in_order() {
+        use crate::{LineAddr, WordAddr, WORDS_PER_LINE};
+        let line = LineAddr::new(5);
+        let words = || line.word(0)..=line.word(WORDS_PER_LINE - 1);
+        let mut m: Mshr<WordAddr, u64> = Mshr::unbounded();
+        assert_eq!(m.range(words()).count(), 0, "empty file");
+        // The last word of the line before, both edge words of the line,
+        // one interior word, and the first word of the line after —
+        // inserted out of order.
+        let before = LineAddr::new(4).word(WORDS_PER_LINE - 1);
+        let after = LineAddr::new(6).word(0);
+        let inside = [line.word(WORDS_PER_LINE - 1), line.word(3), line.word(0)];
+        for k in [after, inside[0], before, inside[1], inside[2]] {
+            m.try_insert(k, k.raw()).unwrap();
+        }
+        let got: Vec<WordAddr> = m.range(words()).map(|(&k, _)| k).collect();
+        assert_eq!(got, vec![line.word(0), line.word(3), line.word(7)]);
+        assert!(m.range(words()).all(|(k, &v)| k.raw() == v));
+        // Half-open and unbounded ends.
+        let got: Vec<WordAddr> = m.range(..line.word(3)).map(|(&k, _)| k).collect();
+        assert_eq!(got, vec![before, line.word(0)]);
+        let got: Vec<WordAddr> = m.range(line.word(7)..).map(|(&k, _)| k).collect();
+        assert_eq!(got, vec![line.word(7), after]);
+        // A line with no entries between two that have some.
+        m.remove(&line.word(0));
+        m.remove(&line.word(3));
+        m.remove(&line.word(7));
+        assert_eq!(m.range(words()).count(), 0, "neighbours excluded");
     }
 
     #[test]
